@@ -14,11 +14,10 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from . import poly
-from .poly import Polynomial, WeightedRing
+from .forms import (AFFINE, PLANE, form_coeffs, initial_form, is_squarefree_form,
+                    localize, vanishing_order)
 from .groebner import projective_empty
-
-PLANE = WeightedRing(("x", "y", "z"), (1, 1, 1))
-AFFINE = WeightedRing(("s", "t"), (1, 1))
+from .poly import Polynomial
 
 
 class BuildingDataError(ValueError):
@@ -76,78 +75,6 @@ class LocalSingularityClass:
     diagnostic: str = ""
 
 
-def _localize(p: Polynomial, point: Sequence[Fraction], chart: int) -> Polynomial:
-    """Dehomogenise in the given chart and translate the point to 0."""
-    pt = [Fraction(c) for c in point]
-    scale = pt[chart]
-    pt = [c / scale for c in pt]
-    s, t = AFFINE.var("s"), AFFINE.var("t")
-    others = [i for i in range(3) if i != chart]
-    images: Dict[str, Polynomial] = {PLANE.names[chart]: AFFINE.one()}
-    images[PLANE.names[others[0]]] = s + AFFINE.const(pt[others[0]])
-    images[PLANE.names[others[1]]] = t + AFFINE.const(pt[others[1]])
-    return p.substitute(images)
-
-
-def _vanishing_order(p: Polynomial) -> int:
-    if p.is_zero():
-        raise BuildingDataError("component vanishes identically")
-    return min(sum(e) for e in p.terms)
-
-
-def _initial_form(p: Polynomial) -> Polynomial:
-    m = _vanishing_order(p)
-    return Polynomial(AFFINE, {e: c for e, c in p.terms.items() if sum(e) == m})
-
-
-def _binary_squarefree(F: Polynomial) -> bool:
-    """Is a binary form in (s,t) squarefree over C?
-
-    Dehomogenise in s; the drop in degree counts the multiplicity of
-    the root at infinity.
-    """
-    d = F.weighted_degree()
-    if d == "inhomogeneous":
-        raise BuildingDataError("initial form must be homogeneous")
-    coeffs = [Fraction(0)] * (d + 1)
-    for (i, j), c in F.terms.items():
-        coeffs[i] = c
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    inf_mult = d - (len(coeffs) - 1)
-    if inf_mult > 1:
-        return False
-    if len(coeffs) <= 1:
-        return True
-    deriv = [c * i for i, c in enumerate(coeffs)][1:]
-    g = _gcd_coeffs(coeffs, deriv)
-    return len(g) <= 1
-
-
-def _gcd_coeffs(f: List[Fraction], g: List[Fraction]) -> List[Fraction]:
-    f, g = list(f), list(g)
-    while any(g):
-        while f and f[-1] == 0:
-            f.pop()
-        while g and g[-1] == 0:
-            g.pop()
-        if not g:
-            break
-        if len(f) < len(g):
-            f, g = g, f
-            continue
-        c = f[-1] / g[-1]
-        k = len(f) - len(g)
-        for i, gc in enumerate(g):
-            f[k + i] -= c * gc
-        f.pop()
-        if len(f) < len(g):
-            f, g = g, f
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 def classify_point(bd: BuildingData, point: Sequence[Fraction]) -> LocalSingularityClass:
     """Local singularity class of the bi-double cover above a branch point.
 
@@ -164,15 +91,15 @@ def classify_point(bd: BuildingData, point: Sequence[Fraction]) -> LocalSingular
     if all(c == 0 for c in pt):
         raise BuildingDataError("not a projective point")
     chart = next(i for i in range(3) if pt[i] != 0)
-    local = [_localize(D, pt, chart) for D in bd.divisors()]
-    mults = tuple(_vanishing_order(p) for p in local)
+    local = [localize(D, pt, chart) for D in bd.divisors()]
+    mults = tuple(vanishing_order(p) for p in local)
     if all(m == 0 for m in mults):
         raise BuildingDataError("point does not lie on the branch divisor")
     product_initial = AFFINE.one()
     for p, m in zip(local, mults):
         if m > 0:
-            product_initial = product_initial * _initial_form(p)
-    ordinary = _binary_squarefree(product_initial)
+            product_initial = product_initial * initial_form(p)
+    ordinary = is_squarefree_form(form_coeffs(product_initial))
     total = sum(mults)
     if not ordinary:
         return LocalSingularityClass("other", mults,
@@ -276,6 +203,7 @@ def _known_table():
 
 
 _KNOWN = _known_table()
+EXAMPLE_NAMES = tuple(sorted(_KNOWN))
 
 SPECIAL_POINTS = {
     "Z1": [(Fraction(0), Fraction(0), Fraction(1))],

@@ -19,8 +19,9 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from . import poly
-from .poly import Polynomial, WeightedRing
+from .forms import distinct_roots, resultant
 from .groebner import poly_gcd
+from .poly import Polynomial, WeightedRing, rename_into, weighted_exponents
 
 CANONICAL_RING = WeightedRing(("x", "y1", "y2", "z1", "z2"), (1, 2, 2, 3, 3))
 XY_RING = WeightedRing(("x", "y1", "y2"), (1, 2, 2))
@@ -81,8 +82,7 @@ def _into_full_ring(p: Polynomial) -> Polynomial:
             raise ModelError("model coefficients must not involve z1, z2")
         return p
     if tuple(p.ring.names) == tuple(XY_RING.names):
-        terms = {e + (0, 0): c for e, c in p.terms.items()}
-        return Polynomial(CANONICAL_RING, terms)
+        return rename_into(p, CANONICAL_RING)
     raise ModelError("expected a polynomial in (x, y1, y2)")
 
 
@@ -140,40 +140,6 @@ def _binary_form_coeffs(p: Polynomial, deg: int) -> List[Fraction]:
     return out
 
 
-def _scalar_sylvester_resultant(cf: List[Fraction], cg: List[Fraction]) -> Fraction:
-    """Resultant of two binary forms given by formal coefficient lists."""
-    m, n = len(cf) - 1, len(cg) - 1
-    size = m + n
-    M = [[Fraction(0)] * size for _ in range(size)]
-    for r in range(n):
-        for k, c in enumerate(cf):
-            M[r][r + (m - k)] = c
-    for r in range(m):
-        for k, c in enumerate(cg):
-            M[n + r][r + (n - k)] = c
-    # plain fraction Gaussian elimination
-    det = Fraction(1)
-    for k in range(size):
-        pivot = None
-        for r in range(k, size):
-            if M[r][k] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            M[k], M[pivot] = M[pivot], M[k]
-            det = -det
-        det *= M[k][k]
-        inv = 1 / M[k][k]
-        for r in range(k + 1, size):
-            if M[r][k] == 0:
-                continue
-            factor = M[r][k] * inv
-            M[r] = [a - factor * b for a, b in zip(M[r], M[k])]
-    return det
-
-
 @dataclass(frozen=True)
 class CanRingValidation:
     shape_ok: bool
@@ -224,8 +190,7 @@ def validate_canring(model: CanonicalRingModel) -> CanRingValidation:
         ambient_ok = False
         detail = "a b_i vanishes on the x=0 locus"
     else:
-        res = _scalar_sylvester_resultant(
-            _binary_form_coeffs(b1_0, 3), _binary_form_coeffs(b2_0, 3))
+        res = resultant(_binary_form_coeffs(b1_0, 3), _binary_form_coeffs(b2_0, 3))
         ambient_ok = res != 0
         detail = f"res(b1|x=0, b2|x=0) = {res}"
     # z-locus: f1, f2 restricted to x=y1=y2=0 are z1^2 and z2^2, which
@@ -234,46 +199,6 @@ def validate_canring(model: CanonicalRingModel) -> CanRingValidation:
 
 
 # -- quadruple cover fiber counting ------------------------------------------
-
-def _uni_divmod(f: List[Fraction], g: List[Fraction]):
-    f = list(f)
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(f) >= len(g) and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < len(g):
-            break
-        k = len(f) - len(g)
-        c = f[-1] / g[-1]
-        q[k] = c
-        for i, gc in enumerate(g):
-            f[k + i] -= c * gc
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return q, f
-
-
-def _uni_gcd(f: List[Fraction], g: List[Fraction]) -> List[Fraction]:
-    f, g = list(f), list(g)
-    while any(g):
-        _, r = _uni_divmod(f, g)
-        f, g = g, r
-    if not any(f):
-        return f
-    lead = f[-1]
-    return [c / lead for c in f]
-
-
-def _squarefree_degree(coeffs: List[Fraction]) -> int:
-    """Number of distinct complex roots of a nonzero univariate polynomial."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
-        return 0
-    deriv = [c * i for i, c in enumerate(coeffs)][1:]
-    g = _uni_gcd(coeffs, deriv)
-    return (len(coeffs) - 1) - (len(g) - 1 if g else 0)
 
 
 class NonGenericBase(ValueError):
@@ -310,23 +235,16 @@ def bicanonical_fiber_count(model: CanonicalRingModel,
              2 * beta1,
              Fraction(0),
              Fraction(1)]
-        return _squarefree_degree(q)
+        return distinct_roots(q)
     if alpha2 != 0:
         # f1 = z1^2 + beta1 is pure; each distinct z1 root gives the pure
-        # quadric z2^2 = -(alpha2*z1 + beta2), degenerate when that is 0
-        q1 = [beta1, Fraction(0), Fraction(1)]
-        sq = _squarefree_degree(q1)
-        # squarefree part of q1
-        deriv = [Fraction(0), Fraction(2)]
-        g = _uni_gcd(q1, deriv)
-        sf, _ = _uni_divmod(q1, g) if len(g) > 1 else (q1, [])
-        lin = [beta2, alpha2]
-        common = _uni_gcd(sf, lin)
-        c = len(common) - 1 if common else 0
-        return 2 * sq - c
+        # quadric z2^2 = -(alpha2*z1 + beta2), which degenerates to a
+        # single point at the one root r = -beta2/alpha2 of the linear form
+        r = -beta2 / alpha2
+        return 2 * distinct_roots([beta1, Fraction(0), Fraction(1)]) - (r * r + beta1 == 0)
     # both relations are pure quadrics; the solution set is a product
-    s1 = _squarefree_degree([beta1, Fraction(0), Fraction(1)])
-    s2 = _squarefree_degree([beta2, Fraction(0), Fraction(1)])
+    s1 = distinct_roots([beta1, Fraction(0), Fraction(1)])
+    s2 = distinct_roots([beta2, Fraction(0), Fraction(1)])
     return s1 * s2
 
 
@@ -382,13 +300,9 @@ class DelPezzoModel:
 
     def relation(self) -> Polynomial:
         R = DEL_PEZZO_RING
-        x1, x2, y, z = (R.var(n) for n in R.names)
-
-        def lift(p: Polynomial) -> Polynomial:
-            return Polynomial(R, {e + (0, 0): c for e, c in p.terms.items()})
-
-        return (z * z + y ** 3 * self.a0
-                + y * y * lift(self.a2) + y * lift(self.a4) + lift(self.a6))
+        y, z = R.var("y"), R.var("z")
+        a2, a4, a6 = (rename_into(p, R) for p in (self.a2, self.a4, self.a6))
+        return z * z + y ** 3 * self.a0 + y * y * a2 + y * a4 + a6
 
     def to_json(self) -> dict:
         return {
@@ -458,7 +372,7 @@ def random_model(rng, coeff_range: int = 5, max_tries: int = 200) -> CanonicalRi
     """A random valid CanonicalRingModel with small integer coefficients."""
     R = XY_RING
     deg2 = [(2, 0, 0), (0, 1, 0), (0, 0, 1)]
-    deg6 = [e for e in _weighted_exponents((1, 2, 2), 6)]
+    deg6 = weighted_exponents((1, 2, 2), 6)
     for _ in range(max_tries):
         def rand_poly(exps):
             return Polynomial(R, {e: Fraction(rng.randint(-coeff_range, coeff_range))
@@ -475,14 +389,3 @@ def random_model(rng, coeff_range: int = 5, max_tries: int = 200) -> CanonicalRi
             return model
     raise ModelError("random model sampling failed; widen the coefficient range")
 
-
-def _weighted_exponents(weights: Sequence[int], degree: int) -> List[Tuple[int, ...]]:
-    """All exponent vectors of the given weighted degree."""
-    if not weights:
-        return [()] if degree == 0 else []
-    out = []
-    w0 = weights[0]
-    for k in range(degree // w0 + 1):
-        for rest in _weighted_exponents(weights[1:], degree - k * w0):
-            out.append((k,) + rest)
-    return out

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Tuple, TypeVar
 
 from . import bidouble, canring, fibration, gluing, implicitize, s2e
+from .groebner import BudgetExceeded
 from .poly import PolynomialError
 from . import poly as polymod
+
+T = TypeVar("T")
 
 
 class UsageError(Exception):
@@ -37,16 +41,22 @@ def _int_list(text: str) -> Tuple[int, ...]:
         raise UsageError(f"not an integer list: {text!r}") from None
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, from_json: Callable[[dict], T]) -> T:
+    """Read a JSON file and build an object from it with `from_json`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno}, "
             f"column {exc.colno}") from None
+    try:
+        return from_json(doc)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise UsageError(
+            f"malformed document in {path}: {type(exc).__name__}: {exc}") from None
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -79,7 +89,7 @@ def cmd_hilbert(args) -> Tuple[str, dict]:
 
 def cmd_canring(args) -> Tuple[str, dict]:
     if args.model:
-        model = canring.CanonicalRingModel.from_json(_load_json(args.model))
+        model = _load(args.model, canring.CanonicalRingModel.from_json)
     else:
         model = _demo_model()
     report = canring.validate_canring(model)
@@ -105,12 +115,12 @@ def cmd_bidouble(args) -> Tuple[str, dict]:
     evidence: dict = {}
     verdict = "pass"
     if args.normalize:
-        ms = bidouble.DivisorMultiset.from_json(_load_json(args.normalize))
+        ms = _load(args.normalize, bidouble.DivisorMultiset.from_json)
         out = bidouble.normalize_building_data(ms)
         evidence["normalized"] = out.to_json()
         return verdict, evidence
     if args.data:
-        bd = bidouble.BuildingData.from_json(_load_json(args.data))
+        bd = _load(args.data, bidouble.BuildingData.from_json)
     else:
         bd = bidouble.known_examples(args.example or "Z1")
         evidence["example"] = args.example or "Z1"
@@ -167,7 +177,7 @@ def cmd_glue(args) -> Tuple[str, dict]:
         return verdict, evidence
     name = args.config or "four-lines"
     if name.endswith(".json"):
-        config = gluing.MarkedConfig.from_json(_load_json(name))
+        config = _load(name, gluing.MarkedConfig.from_json)
         sym = []
     else:
         config, sym = gluing.builtin_config(name)
@@ -317,8 +327,19 @@ SELFTESTS: Dict[str, Callable[[], bool]] = {
 # -- dispatch ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a value such as -9/4 as a negative rational, not as an option.
+
+    Subparsers inherit the class, so every subcommand accepts them.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stratabench",
         description="exact computations for the canonical-ring, cover and "
                     "gluing calculus of stable surfaces with K^2=1, chi=2")
@@ -336,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fiber", help="count the bicanonical fiber over u0:u1:u2")
 
     p = sub.add_parser("bidouble", help="bi-double cover building data")
-    p.add_argument("--example", choices=sorted(bidouble._KNOWN))
+    p.add_argument("--example", choices=bidouble.EXAMPLE_NAMES)
     p.add_argument("--data", help="BuildingData JSON file")
     p.add_argument("--classify", help="points p0:p1:p2 separated by ';'")
     p.add_argument("--normalize", help="DivisorMultiset JSON file to normalise")
@@ -394,7 +415,7 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (PolynomialError, ValueError) as exc:
+    except (PolynomialError, ValueError, BudgetExceeded, s2e.IdentityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import permutations, product
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 
 class GluingError(ValueError):
@@ -422,73 +422,45 @@ def _canonical_key(inv: GluingInvolution):
     return (inv.component_map, inv.mark_map, inv.fixed_point_counts)
 
 
-def enumerate_gluings(config: MarkedConfig,
-                      symmetry: Sequence[ConfigSymmetry] = ()) -> List[GluingOrbit]:
-    """All gluing involutions passing the Gorenstein and chi conditions,
-    one representative per symmetry orbit, each annotated with its cusp
-    partition and geometric feasibility."""
-    candidates: List[GluingInvolution] = []
+def _candidates(config: MarkedConfig) -> Iterator[GluingInvolution]:
+    """Every gluing involution of the configuration, built lazily."""
+    comps = config.components
     for cm in _component_involutions(config):
         invariant = [i for i in range(len(cm)) if cm[i] == i]
         swapped = [(i, cm[i]) for i in range(len(cm)) if i < cm[i]]
         # mark maps on swapped pairs: any bijection; on invariant
         # components: any fixed-point-free involution of the marks
-        pair_choices = []
-        for i, j in swapped:
-            mi = list(config.components[i][1])
-            mj = list(config.components[j][1])
-            choices = []
-            for perm in permutations(mj):
-                m = {a: b for a, b in zip(mi, perm)}
-                m.update({b: a for a, b in zip(mi, perm)})
-                choices.append(m)
-            pair_choices.append(choices)
-        fixed_choices = [_fpf_involutions(config.components[i][1])
-                         for i in invariant]
-        rho_choices = [rho_options(config.components[i][0]) for i in invariant]
+        pair_choices = [[{**dict(zip(comps[i][1], perm)), **dict(zip(perm, comps[i][1]))}
+                         for perm in permutations(comps[j][1])]
+                        for i, j in swapped]
+        fixed_choices = [_fpf_involutions(comps[i][1]) for i in invariant]
+        rho_choices = [rho_options(comps[i][0]) for i in invariant]
+        for maps in product(*pair_choices, *fixed_choices):
+            mark_map = {a: b for m in maps for a, b in m.items()}
+            for counts in product(*rho_choices):
+                yield make_involution(config, cm, mark_map, dict(zip(invariant, counts)))
 
-        def assemble(level_pairs, level_fixed, current_map):
-            if level_pairs < len(pair_choices):
-                for m in pair_choices[level_pairs]:
-                    assemble(level_pairs + 1, level_fixed, {**current_map, **m})
-                return
-            if level_fixed < len(fixed_choices):
-                for m in fixed_choices[level_fixed]:
-                    assemble(level_pairs, level_fixed + 1, {**current_map, **m})
-                return
-            for counts in _choices_product(rho_choices):
-                fp = dict(zip(invariant, counts))
-                candidates.append(make_involution(config, cm, current_map, fp))
 
-        assemble(0, 0, {})
-
+def enumerate_gluings(config: MarkedConfig,
+                      symmetry: Sequence[ConfigSymmetry] = ()) -> List[GluingOrbit]:
+    """All gluing involutions passing the Gorenstein and chi conditions,
+    one representative per symmetry orbit, each annotated with its cusp
+    partition and geometric feasibility."""
     group = _close_group(config, symmetry)
-    seen: Dict[tuple, dict] = {}
-    for inv in candidates:
-        report = chi_check(config, inv)
-        if not report["holds"]:
+    orbits: Dict[tuple, GluingOrbit] = {}
+    for inv in _candidates(config):
+        if not chi_check(config, inv)["holds"]:
             continue
         orbit_keys = {_canonical_key(_conjugate(inv, g)) for g in group}
         canon = min(orbit_keys)
-        if canon in seen:
+        if canon in orbits:
             continue
         rep = GluingInvolution(*canon)
         rep_report = chi_check(config, rep)
         feas = EXCLUDED_ETALE if etale_descent_excluded(config, rep) else ADMISSIBLE
-        seen[canon] = {
-            "orbit": GluingOrbit(rep, rep_report["partition"], rep_report,
-                                 feas, len(orbit_keys)),
-        }
-    return [seen[k]["orbit"] for k in sorted(seen)]
-
-
-def _choices_product(choice_lists):
-    if not choice_lists:
-        yield ()
-        return
-    for c in choice_lists[0]:
-        for rest in _choices_product(choice_lists[1:]):
-            yield (c,) + rest
+        orbits[canon] = GluingOrbit(rep, rep_report["partition"], rep_report,
+                                    feas, len(orbit_keys))
+    return [orbits[k] for k in sorted(orbits)]
 
 
 # -- nodal quartic decision table ---------------------------------------------

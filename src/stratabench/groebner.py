@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .poly import Exponent, Polynomial, PolynomialError, WeightedRing, revlex_key
+from .forms import sylvester
+from .poly import (Exponent, Polynomial, PolynomialError, WeightedRing, rename_into,
+                   revlex_key)
 
 DEFAULT_STEP_BUDGET = 2_000_000
 
@@ -314,23 +316,6 @@ def _restrict_ring(ring: WeightedRing, names: Sequence[str]) -> WeightedRing:
     return WeightedRing(tuple(names), tuple(ring.weights[ring.index(n)] for n in names))
 
 
-def _rename_into(p: Polynomial, target: WeightedRing) -> Polynomial:
-    """Map p into target (whose variables are a superset of those used)."""
-    pos = [target.index(n) if n in target.names else None for n in p.ring.names]
-    terms: Dict[Exponent, Fraction] = {}
-    for e, c in p.terms.items():
-        out = [0] * target.nvars
-        for i, k in enumerate(e):
-            if k == 0:
-                continue
-            if pos[i] is None:
-                raise PolynomialError(
-                    f"variable {p.ring.names[i]!r} does not exist in target ring")
-            out[pos[i]] = k
-        terms[tuple(out)] = c
-    return Polynomial(target, terms)
-
-
 def eliminate(
     gens: Sequence[Polynomial],
     drop_vars,
@@ -355,12 +340,12 @@ def eliminate(
     ordered = [n for n in ring.names if n in drop] + keep
     work_ring = _restrict_ring(ring, ordered)
     order = MonomialOrder("block-elimination", split=len(drop))
-    gb = buchberger([_rename_into(g, work_ring) for g in gens], order, budget=budget)
+    gb = buchberger([rename_into(g, work_ring) for g in gens], order, budget=budget)
     keep_ring = _restrict_ring(ring, keep)
     out = []
     for g in gb:
         if all(n not in drop for n in g.variables_used()):
-            out.append(_rename_into(g, keep_ring))
+            out.append(rename_into(g, keep_ring))
     return out
 
 
@@ -411,15 +396,15 @@ def poly_gcd(f: Polynomial, g: Polynomial, budget: Optional[int] = None) -> Poly
     while tag in ring.names:
         tag += "#"
     big = WeightedRing((tag,) + ring.names, (1,) + ring.weights)
-    fb = _rename_into(f, big)
-    gb_ = _rename_into(g, big)
+    fb = rename_into(f, big)
+    gb_ = rename_into(g, big)
     T = big.var(tag)
     inter = eliminate([T * fb, (big.one() - T) * gb_], {tag}, budget=budget)
     inter = [q for q in inter if not q.is_zero()]
     if len(inter) != 1:
         raise PolynomialError(
             f"intersection of principal ideals not principal ({len(inter)} generators)")
-    lcm = _rename_into(inter[0], ring)
+    lcm = rename_into(inter[0], ring)
     return monic(exact_divide(f * g, lcm))
 
 
@@ -505,14 +490,4 @@ def resultant(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
     m, n = len(cf) - 1, len(cg) - 1
     if m < 1 or n < 1:
         raise PolynomialError(f"both inputs need positive degree in {name!r}")
-    ring = f.ring
-    size = m + n
-    zero = ring.zero()
-    M = [[zero] * size for _ in range(size)]
-    for r in range(n):
-        for k, c in enumerate(cf):
-            M[r][r + (m - k)] = c
-    for r in range(m):
-        for k, c in enumerate(cg):
-            M[n + r][r + (n - k)] = c
-    return _det_bareiss(M, ring)
+    return _det_bareiss(sylvester(cf, cg, f.ring.zero()), f.ring)

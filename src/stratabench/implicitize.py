@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .poly import Polynomial, PolynomialError, WeightedRing
+from .forms import (PLANE, form_coeffs, initial_form, is_squarefree_form, localize,
+                    vanishing_order)
 from .groebner import eliminate
-from .bidouble import PLANE, _localize, _vanishing_order, _initial_form, \
-    _binary_squarefree
+from .poly import Polynomial, WeightedRing, rename_into, scalar_ratio
 
 UV = WeightedRing(("u", "v"), (1, 1))
 GRAPH_RING = WeightedRing(("u", "v", "x", "y", "z"), (1, 1, 1, 1, 1))
@@ -29,10 +29,16 @@ class ImplicitizeError(ValueError):
 
 @dataclass(frozen=True)
 class ParametrizationInput:
-    """Parameters (a, b) with a, b not in {0, 1}, a != b and a != b^2.
+    """Parameters (a, b) with a, b not in {0, 1}, a != b, a != b^2 and
+    a^2 - a*b^2 - a*b + b^2 != 0.
 
-    The constraints keep the six marked points of P^1 pairwise
-    distinct.
+    The first constraints keep the six marked points of P^1 pairwise
+    distinct.  On the curve a^2 - a*b^2 - a*b + b^2 = 0, for example at
+    (3/4, 3/2) and (3, -3), the map is 2:1 onto a conic and the
+    closed-form quartic is the square of that conic: each of
+    c_x2yz^2 - 4*c_x2y2*c_x2z2, c_xy2z^2 - 4*c_x2y2*c_y2z2 and
+    c_xyz2^2 - 4*c_x2z2*c_y2z2 is divisible by the square of the
+    polynomial.
     """
 
     a: Fraction
@@ -44,6 +50,9 @@ class ParametrizationInput:
         object.__setattr__(self, "b", b)
         if a in (0, 1) or b in (0, 1) or a == b or a == b * b:
             raise ImplicitizeError("degenerate parameters")
+        if a * a - a * b * b - a * b + b * b == 0:
+            raise ImplicitizeError(
+                "degenerate parameters: a^2 - a*b^2 - a*b + b^2 = 0 maps P^1 2:1 onto a conic")
 
     def marked_points(self):
         """The six marked points of P^1, as (u, v) pairs."""
@@ -101,17 +110,13 @@ def implicitize(inp: ParametrizationInput) -> Tuple[PlaneQuartic, dict]:
     three coordinate points.
     """
     xf, yf, zf = build_parametrization(inp)
-
-    def lift(p: Polynomial) -> Polynomial:
-        return Polynomial(GRAPH_RING, {e + (0, 0, 0): c for e, c in p.terms.items()})
-
-    X, Y, Z = (GRAPH_RING.var(n) for n in ("x", "y", "z"))
-    gens = [X - lift(xf), Y - lift(yf), Z - lift(zf)]
+    gens = [GRAPH_RING.var(n) - rename_into(p, GRAPH_RING)
+            for n, p in zip(("x", "y", "z"), (xf, yf, zf))]
     basis = eliminate(gens, {"u", "v"})
     if len(basis) != 1:
         raise ImplicitizeError(
             f"unexpected image degree: elimination ideal has {len(basis)} generators")
-    g = Polynomial(PLANE, dict(basis[0].terms))
+    g = basis[0]
     if g.weighted_degree() != 4:
         raise ImplicitizeError("unexpected image degree: generator is not a quartic")
 
@@ -161,20 +166,12 @@ def verify_node(q: PlaneQuartic, point: Sequence[Fraction]) -> bool:
             return False
     pt = [Fraction(c) for c in point]
     chart = next(i for i in range(3) if pt[i] != 0)
-    local = _localize(p, pt, chart)
-    if _vanishing_order(local) != 2:
+    local = localize(p, pt, chart)
+    if vanishing_order(local) != 2:
         return False
-    return _binary_squarefree(_initial_form(local))
+    return is_squarefree_form(form_coeffs(initial_form(local)))
 
 
 def compare_up_to_scalar(f: Polynomial, g: Polynomial) -> bool:
     """f = lambda * g for some nonzero rational lambda?"""
-    if f.ring != g.ring:
-        raise PolynomialError("mixed rings")
-    if f.is_zero() or g.is_zero():
-        return False
-    e, c = f.sorted_terms()[0]
-    if e not in g.terms:
-        return False
-    lam = c / g.terms[e]
-    return f == g.scale(lam)
+    return bool(scalar_ratio(f, g))

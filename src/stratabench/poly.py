@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -354,6 +354,47 @@ class Polynomial:
                 parts.append(f"{c}*{mono}")
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
+
+
+def weighted_exponents(weights: Sequence[int], degree: int) -> List[Exponent]:
+    """All exponent vectors of the given weighted degree, in lexicographic order."""
+    partial = [((), degree)]
+    for w in weights:
+        partial = [(e + (k,), left - k * w)
+                   for e, left in partial for k in range(left // w + 1)]
+    return [e for e, left in partial if left == 0]
+
+
+def scalar_ratio(p: Polynomial, q: Polynomial) -> Optional[Fraction]:
+    """The c with p = c*q, or None if there is none (0 when p = 0)."""
+    if p.ring != q.ring:
+        raise PolynomialError("mixed rings")
+    if p.is_zero():
+        return Fraction(0)
+    if q.is_zero():
+        return None
+    e, c = next(iter(q.terms.items()))
+    if e not in p.terms:
+        return None
+    ratio = p.terms[e] / c
+    return ratio if p == q.scale(ratio) else None
+
+
+def rename_into(p: Polynomial, ring: WeightedRing) -> Polynomial:
+    """Map p into `ring` by variable name; every variable p uses must exist there."""
+    pos = [ring.index(n) if n in ring.names else None for n in p.ring.names]
+    terms: Dict[Exponent, Fraction] = {}
+    for e, c in p.terms.items():
+        out = [0] * ring.nvars
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            if pos[i] is None:
+                raise PolynomialError(
+                    f"variable {p.ring.names[i]!r} does not exist in target ring")
+            out[pos[i]] = k
+        terms[tuple(out)] = c
+    return Polynomial(ring, terms)
 
 
 # -- JSON form --------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .poly import Polynomial, WeightedRing
+from .poly import Polynomial, WeightedRing, scalar_ratio, weighted_exponents
 
 GEOM_VARS = ("z1", "x1", "y1", "z2", "x2", "y2")
 FACTOR1_WEIGHTS = (1, 2, 3, 0, 0, 0)
@@ -205,14 +205,7 @@ class Context:
 def factor_basis(m: int) -> List[Tuple[int, int, int]]:
     """Exponents (i,j,k) with i+2j+3k = m and k <= 1: a basis of the
     degree-m piece of one Weierstrass section ring.  Has m elements."""
-    out = []
-    for k in (0, 1):
-        top = m - 3 * k
-        if top < 0:
-            continue
-        for j in range(top // 2 + 1):
-            out.append((top - 2 * j, j, k))
-    return sorted(out)
+    return sorted(e for e in weighted_exponents((1, 2, 3), m) if e[2] <= 1)
 
 
 def invariant_basis(ctx: Context, m: int) -> List[Polynomial]:
@@ -356,7 +349,7 @@ def s_generators(ctx: Context) -> dict:
 
     lhs1 = ctx.normal_form(s0 ** 2 * s2 - s1 ** 2 - (be * l1 + al * l2))
     t0s4 = ctx.normal_form(t0 * s4)
-    scalar = _proportionality_scalar(lhs1, t0s4)
+    scalar = scalar_ratio(lhs1, t0s4)
     if scalar is None:
         raise IdentityError("identity I (degree-4 kernel) failed", lhs1)
 
@@ -369,19 +362,6 @@ def s_generators(ctx: Context) -> dict:
     els["identity1_ok"] = True
     els["identity2_ok"] = True
     return els
-
-
-def _proportionality_scalar(p: Polynomial, q: Polynomial):
-    """c with p = c*q, if one exists (Fraction; 0 when p = 0)."""
-    if p.is_zero():
-        return Fraction(0)
-    if q.is_zero():
-        return None
-    e, c = next(iter(sorted(q.terms.items())))
-    if e not in p.terms:
-        return None
-    ratio = p.terms[e] / c
-    return ratio if p == q.scale(ratio) else None
 
 
 # -- theorem relations ---------------------------------------------------------
@@ -464,7 +444,7 @@ def _try_assignment(ctx, X, Y1, Y2, Z1, Z2, a, b, al, be) -> dict:
     b2 = nf(_b2_poly(ctx.ring, X, Y1, Y2, a, b, al, be))
     z1sq = nf(Z1 * Z1)
     # r1: lam2 * z1^2 + b1 = 0
-    lam2 = _proportionality_scalar(-b1, z1sq)
+    lam2 = scalar_ratio(-b1, z1sq)
     if lam2 is None or lam2 == 0:
         return {"success": False, "reason": "no z1-rescaling solves r1",
                 "lambda2": None, "mu2": None, "lambda": None}
@@ -534,7 +514,7 @@ def generation_check(ctx: Context, upto: int,
         degs.append(d[0])
     for m in range(1, upto + 1):
         prods = []
-        for exps in _weighted_tuples(degs, m):
+        for exps in weighted_exponents(degs, m):
             p = ctx.ring.one()
             for g, e in zip(gens, exps):
                 for _ in range(e):
@@ -544,16 +524,6 @@ def generation_check(ctx: Context, upto: int,
         if linalg.rank(M) != m * (m + 1) // 2:
             return False
     return True
-
-
-def _weighted_tuples(weights: Sequence[int], total: int) -> List[Tuple[int, ...]]:
-    if not weights:
-        return [()] if total == 0 else []
-    out = []
-    for k in range(total // weights[0] + 1):
-        for rest in _weighted_tuples(weights[1:], total - k * weights[0]):
-            out.append((k,) + rest)
-    return out
 
 
 # -- convenience: full pipeline report ----------------------------------------

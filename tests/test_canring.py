@@ -243,5 +243,5 @@ def test_fiber_count_agrees_with_sylvester_resultant():
         coeffs = [Fraction(0)] * 5
         for e, c in res.terms.items():
             coeffs[e[0]] = c
-        from stratabench.canring import _squarefree_degree
-        assert _squarefree_degree(coeffs) == bicanonical_fiber_count(model, base)
+        from stratabench.forms import distinct_roots
+        assert distinct_roots(coeffs) == bicanonical_fiber_count(model, base)

@@ -94,3 +94,40 @@ def test_step_budget_env(tmp_path, monkeypatch):
                          capture_output=True, text=True, env=env)
     assert out.returncode == 1
     assert "budget" in out.stderr.lower()
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+
+
+def test_identity_error_is_one_line(monkeypatch, capsys):
+    from stratabench import s2e
+
+    def broken(ctx):
+        raise s2e.IdentityError("identity II (s3 pinning) failed", ctx.ring.one())
+
+    monkeypatch.setattr(s2e, "s_generators", broken)
+    assert dispatch(["s2e", "verify", "--symbolic"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: identity II") and len(err.splitlines()) == 1
+
+
+def test_malformed_documents(tmp_path):
+    model = tmp_path / "model.json"
+    term_free = {"vars": ["x", "y1", "y2"], "weights": [1, 2, 2]}
+    model.write_text(json.dumps({k: term_free for k in ("a1", "a2", "b1", "b2")}),
+                     encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]", encoding="utf-8")
+    for args, path in ((("canring", "--model", str(model)), model),
+                       (("glue", "--config", str(config)), config)):
+        out = run_cli(*args)
+        assert out.returncode == 2, out.stderr
+        assert "Traceback" not in out.stderr
+        assert str(path) in out.stderr and len(out.stderr.splitlines()) == 1
+
+
+def test_negative_rational_option_values():
+    out = run_cli("implicitize", "--a", "-9/4", "--b", "2")
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout.split("\n", 1)[1])
+    assert doc["evidence"]["a"] == "-9/4"
+    assert run_cli("implicitize", "--a", "-9/4", "--b", "-x").returncode == 2

@@ -11,7 +11,8 @@ from stratabench.implicitize import (ImplicitizeError, ParametrizationInput,
 
 
 def test_parameter_constraints():
-    for a, b in ((1, 2), (0, 2), (2, 0), (2, 1), (3, 3), (4, 2)):
+    for a, b in ((1, 2), (0, 2), (2, 0), (2, 1), (3, 3), (4, 2),
+                 (Fraction(3, 4), Fraction(3, 2)), (3, -3)):
         with pytest.raises(ImplicitizeError, match="degenerate parameters"):
             ParametrizationInput(Fraction(a), Fraction(b))
     inp = ParametrizationInput(Fraction(2), Fraction(3))
