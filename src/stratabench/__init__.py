@@ -1,6 +1,29 @@
 """Exact computer algebra for Gorenstein stable surfaces with K^2 = 1,
 chi = 2: canonical-ring models, bi-double covers, fibration numerics,
 gluing combinatorics, quartic implicitization and the symmetric-square
-pipeline."""
+pipeline.
+
+The step budget bounds the Groebner engine and gluing enumeration.  It
+lives here so that gluing can consult it without depending on the
+Groebner engine.
+"""
+
+import os
+from typing import Optional
 
 __version__ = "0.1.0"
+
+DEFAULT_STEP_BUDGET = 2_000_000
+
+
+class BudgetExceeded(RuntimeError):
+    """A computation exceeded its step budget."""
+
+
+def step_budget(explicit: Optional[int] = None) -> int:
+    if explicit is not None:
+        return explicit
+    env = os.environ.get("STRATABENCH_STEP_BUDGET")
+    if env:
+        return int(env)
+    return DEFAULT_STEP_BUDGET

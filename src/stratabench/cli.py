@@ -34,6 +34,13 @@ def _fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r} ({exc})") from None
 
 
+def _point(text: str, flag: str) -> Tuple[Fraction, ...]:
+    point = tuple(_fraction(t) for t in text.split(":"))
+    if len(point) != 3:
+        raise UsageError(f"{flag} expects three coordinates p0:p1:p2, got {text!r}")
+    return point
+
+
 def _int_list(text: str) -> Tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(",") if t != "")
@@ -77,7 +84,11 @@ def cmd_hilbert(args) -> Tuple[str, dict]:
                       "series": series}
     verdict = "pass"
     if args.rr:
-        k2, chi, pg = (int(t) for t in args.rr.split(","))
+        try:
+            k2, chi, pg = (int(t) for t in args.rr.split(","))
+        except ValueError:
+            raise UsageError(
+                f"--rr expects three integers K2,chi,pg, got {args.rr!r}") from None
         rr = [None] + [canring.rr_prediction(k2, chi, pg, m)
                        for m in range(1, args.upto + 1)]
         agree = all(series[m] == rr[m] for m in range(1, args.upto + 1))
@@ -99,9 +110,7 @@ def cmd_canring(args) -> Tuple[str, dict]:
     }
     verdict = "pass" if report.valid else "fail"
     if args.fiber:
-        base = tuple(_fraction(t) for t in args.fiber.split(":"))
-        if len(base) != 3:
-            raise UsageError("--fiber expects u0:u1:u2")
+        base = _point(args.fiber, "--fiber")
         try:
             evidence["fiber_count"] = canring.bicanonical_fiber_count(model, base)
         except canring.NonGenericBase as exc:
@@ -128,8 +137,7 @@ def cmd_bidouble(args) -> Tuple[str, dict]:
     evidence["validation"] = report
     verdict = "pass" if report["valid"] else "fail"
     if args.classify:
-        pts = [tuple(_fraction(t) for t in chunk.split(":"))
-               for chunk in args.classify.split(";")]
+        pts = [_point(chunk, "--classify") for chunk in args.classify.split(";")]
         evidence["classification"] = []
         for pt in pts:
             c = bidouble.classify_point(bd, pt)

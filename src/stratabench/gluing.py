@@ -5,7 +5,8 @@ geometric genus and marked points (the node preimages), plus a perfect
 matching pairing the two preimages of each node.  A gluing involution
 acts on components and marks without fixing any mark; its geometric
 fixed points away from the marks are counted per invariant component.
-The module computes degenerate-cusp classes by union-find, checks the
+The module computes degenerate-cusp classes by walking the alternating
+cycles of the matching and the involution, checks the
 Euler-characteristic condition, enumerates all admissible involutions
 up to a declared symmetry group, and carries the decision table for
 nodal plane quartics.
@@ -19,10 +20,15 @@ flagged as excluded rather than silently dropped.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from math import comb, factorial, prod
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterator, List, Optional,
+                    Sequence, Tuple)
+
+from . import BudgetExceeded, step_budget
 
 
 class GluingError(ValueError):
@@ -165,28 +171,7 @@ def make_involution(config: MarkedConfig, component_map: Sequence[int],
     )
 
 
-# -- union-find cusp classes ---------------------------------------------------
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # deterministic: smaller label wins
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
+# -- cusp classes --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -210,21 +195,25 @@ def cusp_classes(config: MarkedConfig, inv: GluingInvolution) -> CuspPartition:
     """Equivalence classes of nodes under gluing and the involution.
 
     Marks are identified when they lie over the same node or are
-    exchanged by the involution; the classes are then projected to the
-    nodes.  Union-find order does not affect the resulting partition.
+    exchanged by the involution.  Both relations are fixed-point-free
+    involutions of the marks, so each class is one cycle alternating
+    between them; walking it from any mark lists the nodes it crosses.
     """
+    mate = {m: im for a, b in config.matching for m, im in ((a, b), (b, a))}
     md = inv.mark_dict()
-    uf = _UnionFind(sorted(md))
-    for a, b in config.matching:
-        uf.union(a, b)
-    for m, im in md.items():
-        uf.union(m, im)
-    nodes: Dict[str, List[str]] = {}
-    for a, b in config.matching:
-        nodes.setdefault(uf.find(a), []).append(
-            config.node_name(frozenset((a, b))))
-    classes = tuple(sorted(tuple(sorted(v)) for v in nodes.values()))
-    return CuspPartition(classes)
+    seen = set()
+    classes = []
+    for start, _ in config.matching:
+        if start in seen:
+            continue
+        nodes = []
+        m = start
+        while m not in seen:
+            seen.update((m, mate[m]))
+            nodes.append(config.node_name(frozenset((m, mate[m]))))
+            m = md[mate[m]]
+        classes.append(tuple(sorted(nodes)))
+    return CuspPartition(tuple(sorted(classes)))
 
 
 def chi_check(config: MarkedConfig, inv: GluingInvolution) -> dict:
@@ -309,11 +298,19 @@ def _compose(g: ConfigSymmetry, h: ConfigSymmetry) -> ConfigSymmetry:
     )
 
 
+def _relabel(config: MarkedConfig, component_perm: Sequence[int],
+             *cycles: Sequence[str]) -> ConfigSymmetry:
+    """The symmetry moving each cycle's marks one step along it and
+    fixing every mark no cycle lists."""
+    md = {m: m for m in config.component_of()}
+    for cycle in cycles:
+        md.update(zip(cycle, cycle[1:] + cycle[:1]))
+    return ConfigSymmetry(tuple(component_perm), tuple(sorted(md.items())))
+
+
 def _close_group(config: MarkedConfig,
                  generators: Sequence[ConfigSymmetry]) -> List[ConfigSymmetry]:
-    n = len(config.components)
-    marks = sorted(config.component_of())
-    identity = ConfigSymmetry(tuple(range(n)), tuple((m, m) for m in marks))
+    identity = _relabel(config, range(len(config.components)))
     for g in generators:
         _check_symmetry(config, g)
     group = {identity}
@@ -330,70 +327,33 @@ def _close_group(config: MarkedConfig,
     return sorted(group, key=lambda s: (s.component_perm, s.mark_perm))
 
 
-def _invert(g: ConfigSymmetry) -> ConfigSymmetry:
-    cp = g.component_perm
-    inv_cp = tuple(cp.index(i) for i in range(len(cp)))
-    md = g.mark_dict()
-    return ConfigSymmetry(inv_cp, tuple(sorted((v, k) for k, v in md.items())))
-
-
 def _conjugate(inv: GluingInvolution, g: ConfigSymmetry) -> GluingInvolution:
-    """g o tau o g^{-1}."""
-    gi = _invert(g)
-    gcp, gicp = g.component_perm, gi.component_perm
-    gmd, gimd = g.mark_dict(), gi.mark_dict()
-    taucp = inv.component_map
-    taumd = inv.mark_dict()
-    new_cm = tuple(gcp[taucp[gicp[i]]] for i in range(len(taucp)))
-    new_md = {m: gmd[taumd[gimd[m]]] for m in gmd}
-    new_fp = {gcp[i]: c for i, c in inv.fixed_point_counts}
-    return GluingInvolution(new_cm, tuple(sorted(new_md.items())),
-                            tuple(sorted(new_fp.items())))
+    """g o tau o g^{-1}, which sends g(x) to g(tau(x))."""
+    gcp, gmd = g.component_perm, g.mark_dict()
+    cm = [0] * len(gcp)
+    for i, j in enumerate(inv.component_map):
+        cm[gcp[i]] = gcp[j]
+    md = {gmd[m]: gmd[im] for m, im in inv.mark_map}
+    fp = {gcp[i]: c for i, c in inv.fixed_point_counts}
+    return GluingInvolution(tuple(cm), tuple(sorted(md.items())),
+                            tuple(sorted(fp.items())))
 
 
-def _fpf_involutions(marks: Sequence[str]) -> List[Dict[str, str]]:
-    """All fixed-point-free involutions of a finite set."""
-    marks = sorted(marks)
-    if len(marks) % 2:
-        return []
-    if not marks:
-        return [{}]
-    first, rest = marks[0], marks[1:]
-    out = []
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for sub in _fpf_involutions(remaining):
-            m = {first: partner, partner: first}
-            m.update(sub)
-            out.append(m)
-    return out
-
-
-def _component_involutions(config: MarkedConfig) -> List[Tuple[int, ...]]:
-    """Involutive component permutations preserving (genus, mark count)."""
-    n = len(config.components)
-    sig = [(g, len(marks)) for g, marks in config.components]
-
-    out: List[Tuple[int, ...]] = []
-
-    def extend(assigned: Dict[int, int]):
-        free = [i for i in range(n) if i not in assigned]
-        if not free:
-            out.append(tuple(assigned[i] for i in range(n)))
-            return
-        i = free[0]
-        # fixed
-        assigned[i] = i
-        extend(assigned)
-        del assigned[i]
-        for j in free[1:]:
-            if sig[i] == sig[j]:
-                assigned[i], assigned[j] = j, i
-                extend(assigned)
-                del assigned[i], assigned[j]
-
-    extend({})
-    return out
+def _involutions(items: Sequence[Hashable], may_fix: bool,
+                 may_pair: Callable[[Hashable, Hashable], bool]) -> Iterator[dict]:
+    """Every involution of `items` as a dict, fixing points only when
+    `may_fix` and exchanging only pairs that `may_pair` accepts."""
+    if not items:
+        yield {}
+        return
+    first, rest = items[0], items[1:]
+    if may_fix:
+        for sub in _involutions(rest, may_fix, may_pair):
+            yield {first: first, **sub}
+    for k, partner in enumerate(rest):
+        if may_pair(first, partner):
+            for sub in _involutions(rest[:k] + rest[k + 1:], may_fix, may_pair):
+                yield {first: partner, partner: first, **sub}
 
 
 @dataclass(frozen=True)
@@ -425,7 +385,10 @@ def _canonical_key(inv: GluingInvolution):
 def _candidates(config: MarkedConfig) -> Iterator[GluingInvolution]:
     """Every gluing involution of the configuration, built lazily."""
     comps = config.components
-    for cm in _component_involutions(config):
+    shape = [(g, len(marks)) for g, marks in comps]
+    for cmap in _involutions(list(range(len(comps))), True,
+                             lambda i, j: shape[i] == shape[j]):
+        cm = tuple(cmap[i] for i in range(len(comps)))
         invariant = [i for i in range(len(cm)) if cm[i] == i]
         swapped = [(i, cm[i]) for i in range(len(cm)) if i < cm[i]]
         # mark maps on swapped pairs: any bijection; on invariant
@@ -433,7 +396,8 @@ def _candidates(config: MarkedConfig) -> Iterator[GluingInvolution]:
         pair_choices = [[{**dict(zip(comps[i][1], perm)), **dict(zip(perm, comps[i][1]))}
                          for perm in permutations(comps[j][1])]
                         for i, j in swapped]
-        fixed_choices = [_fpf_involutions(comps[i][1]) for i in invariant]
+        fixed_choices = [list(_involutions(sorted(comps[i][1]), False, lambda a, b: True))
+                         for i in invariant]
         rho_choices = [rho_options(comps[i][0]) for i in invariant]
         for maps in product(*pair_choices, *fixed_choices):
             mark_map = {a: b for m in maps for a, b in m.items()}
@@ -441,11 +405,39 @@ def _candidates(config: MarkedConfig) -> Iterator[GluingInvolution]:
                 yield make_involution(config, cm, mark_map, dict(zip(invariant, counts)))
 
 
+def _candidate_count(config: MarkedConfig) -> int:
+    """The number of candidates `_candidates` yields, in closed form.
+
+    Components of one (genus, mark count) class are either swapped in
+    pairs or invariant.  A swapped pair of k-mark components has k!
+    mark bijections; an invariant n-mark component has (n-1)!! perfect
+    matchings of its marks (none for odd n) times its choices of rho.
+    A class of c components has C(c, 2p) (2p-1)!! ways to choose p
+    swapped pairs.
+    """
+    total = 1
+    for (genus, n), c in Counter((g, len(marks)) for g, marks in config.components).items():
+        swap = factorial(n)
+        fix = 0 if n % 2 else prod(range(n - 1, 0, -2)) * len(rho_options(genus))
+        total *= sum(comb(c, 2 * p) * prod(range(2 * p - 1, 0, -2)) * swap ** p
+                     * fix ** (c - 2 * p) for p in range(c // 2 + 1))
+    return total
+
+
 def enumerate_gluings(config: MarkedConfig,
                       symmetry: Sequence[ConfigSymmetry] = ()) -> List[GluingOrbit]:
     """All gluing involutions passing the Gorenstein and chi conditions,
     one representative per symmetry orbit, each annotated with its cusp
-    partition and geometric feasibility."""
+    partition and geometric feasibility.
+
+    Raises BudgetExceeded, before building any candidate, when there are
+    more candidates than the step budget allows.
+    """
+    count, budget = _candidate_count(config), step_budget()
+    if count > budget:
+        raise BudgetExceeded(
+            f"gluing enumeration: {count} candidate involutions exceed the step "
+            f"budget of {budget}; raise STRATABENCH_STEP_BUDGET if intended")
     group = _close_group(config, symmetry)
     orbits: Dict[tuple, GluingOrbit] = {}
     for inv in _candidates(config):
@@ -539,20 +531,9 @@ def _two_conics():
     names = tuple(f"Q{i}" for i in range(1, 5))
     config = MarkedConfig(comps, matching, names)
 
-    def node_perm(s: Dict[int, int]) -> ConfigSymmetry:
-        md = {}
-        for i in range(1, 5):
-            md[f"A{i}"] = f"A{s[i]}"
-            md[f"B{i}"] = f"B{s[i]}"
-        return ConfigSymmetry((0, 1), tuple(sorted(md.items())))
-
-    swap = ConfigSymmetry(
-        (1, 0),
-        tuple(sorted({**{f"A{i}": f"B{i}" for i in range(1, 5)},
-                      **{f"B{i}": f"A{i}" for i in range(1, 5)}}.items())))
-    gens = [swap,
-            node_perm({1: 2, 2: 1, 3: 3, 4: 4}),
-            node_perm({1: 2, 2: 3, 3: 4, 4: 1})]
+    gens = [_relabel(config, (1, 0), *[(f"A{i}", f"B{i}") for i in range(1, 5)]),
+            _relabel(config, (0, 1), ("A1", "A2"), ("B1", "B2")),
+            _relabel(config, (0, 1), ("A1", "A2", "A3", "A4"), ("B1", "B2", "B3", "B4"))]
     return config, gens
 
 
@@ -564,22 +545,10 @@ def _conic_two_lines():
                 ("S2", "S3"), ("T2", "T3"))
     names = ("P", "Q", "R", "S", "T")
     config = MarkedConfig(comps, matching, names)
-    swap_lines = ConfigSymmetry(
-        (0, 2, 1),
-        tuple(sorted({
-            "P1": "P2", "P2": "P1", "Q1": "S2", "S2": "Q1",
-            "R1": "T2", "T2": "R1", "Q3": "S3", "S3": "Q3",
-            "R3": "T3", "T3": "R3"}.items())))
-    swap_qr = ConfigSymmetry(
-        (0, 1, 2),
-        tuple(sorted({"Q1": "R1", "R1": "Q1", "Q3": "R3", "R3": "Q3",
-                      "P1": "P1", "P2": "P2", "S2": "S2", "T2": "T2",
-                      "S3": "S3", "T3": "T3"}.items())))
-    swap_st = ConfigSymmetry(
-        (0, 1, 2),
-        tuple(sorted({"S2": "T2", "T2": "S2", "S3": "T3", "T3": "S3",
-                      "P1": "P1", "P2": "P2", "Q1": "Q1", "R1": "R1",
-                      "Q3": "Q3", "R3": "R3"}.items())))
+    swap_lines = _relabel(config, (0, 2, 1), ("P1", "P2"), ("Q1", "S2"), ("R1", "T2"),
+                          ("Q3", "S3"), ("R3", "T3"))
+    swap_qr = _relabel(config, (0, 1, 2), ("Q1", "R1"), ("Q3", "R3"))
+    swap_st = _relabel(config, (0, 1, 2), ("S2", "T2"), ("S3", "T3"))
     return config, [swap_lines, swap_qr, swap_st]
 
 
@@ -588,16 +557,8 @@ def _cubic_line():
     matching = (("c1", "l1"), ("c2", "l2"), ("c3", "l3"))
     names = ("N1", "N2", "N3")
     config = MarkedConfig(comps, matching, names)
-
-    def node_perm(s: Dict[int, int]) -> ConfigSymmetry:
-        md = {}
-        for i in range(1, 4):
-            md[f"c{i}"] = f"c{s[i]}"
-            md[f"l{i}"] = f"l{s[i]}"
-        return ConfigSymmetry((0, 1), tuple(sorted(md.items())))
-
-    return config, [node_perm({1: 2, 2: 1, 3: 3}),
-                    node_perm({1: 2, 2: 3, 3: 1})]
+    return config, [_relabel(config, (0, 1), ("c1", "c2"), ("l1", "l2")),
+                    _relabel(config, (0, 1), ("c1", "c2", "c3"), ("l1", "l2", "l3"))]
 
 
 def _three_nodal():
@@ -606,16 +567,10 @@ def _three_nodal():
     names = ("P1", "P2", "P3")
     config = MarkedConfig(comps, matching, names)
 
-    def mk(md: Dict[str, str]) -> ConfigSymmetry:
-        full = {f"m{i}": f"m{i}" for i in range(1, 7)}
-        full.update(md)
-        return ConfigSymmetry((0,), tuple(sorted(full.items())))
-
     gens = [
-        mk({"m1": "m2", "m2": "m1"}),
-        mk({"m1": "m3", "m3": "m1", "m2": "m4", "m4": "m2"}),
-        mk({"m1": "m3", "m3": "m5", "m5": "m1",
-            "m2": "m4", "m4": "m6", "m6": "m2"}),
+        _relabel(config, (0,), ("m1", "m2")),
+        _relabel(config, (0,), ("m1", "m3"), ("m2", "m4")),
+        _relabel(config, (0,), ("m1", "m3", "m5"), ("m2", "m4", "m6")),
     ]
     return config, gens
 

@@ -15,30 +15,14 @@ STRATABENCH_STEP_BUDGET environment variable.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import BudgetExceeded, step_budget
 from .forms import sylvester
 from .poly import (Exponent, Polynomial, PolynomialError, WeightedRing, rename_into,
                    revlex_key)
-
-DEFAULT_STEP_BUDGET = 2_000_000
-
-
-class BudgetExceeded(RuntimeError):
-    """A Groebner computation exceeded its step budget."""
-
-
-def step_budget(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("STRATABENCH_STEP_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_STEP_BUDGET
-
 
 @dataclass(frozen=True)
 class MonomialOrder:

@@ -131,3 +131,35 @@ def test_negative_rational_option_values():
     doc = json.loads(out.stdout.split("\n", 1)[1])
     assert doc["evidence"]["a"] == "-9/4"
     assert run_cli("implicitize", "--a", "-9/4", "--b", "-x").returncode == 2
+
+
+def test_classify_needs_three_coordinates(capsys):
+    for points in ("1:2", "1:2:3:4", "0:0:1;1:2"):
+        assert dispatch(["bidouble", "--example", "Z1", "--classify", points]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --classify") and len(err.splitlines()) == 1
+
+
+def test_rr_needs_three_integers(capsys):
+    for value in ("1,2", "a,b,c", "1,2,3,4"):
+        assert dispatch(["hilbert", "--rr", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --rr") and len(err.splitlines()) == 1
+
+
+def test_gluing_over_budget_is_refused_up_front(tmp_path):
+    import time
+
+    a = [f"a{i}" for i in range(12)]
+    b = [f"b{i}" for i in range(12)]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "components": [{"genus": 0, "marks": a}, {"genus": 0, "marks": b}],
+        "matching": [list(p) for p in zip(a, b)]}), encoding="utf-8")
+    start = time.perf_counter()
+    out = subprocess.run(RUN + ["glue", "--config", str(config)],
+                         capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: gluing enumeration")
+    assert len(out.stderr.splitlines()) == 1

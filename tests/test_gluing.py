@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from stratabench import BudgetExceeded
 from stratabench.gluing import (ADMISSIBLE, EXCLUDED_ETALE,
                                 GluingError, MarkedConfig, builtin_config,
                                 chi_check, cusp_classes, enumerate_gluings,
                                 etale_descent_excluded, make_involution,
                                 minimum_nodes_check, quartic_case_table,
-                                rho_options, _canonical_key, _close_group,
-                                _conjugate)
+                                rho_options, _candidate_count, _candidates,
+                                _canonical_key, _close_group, _conjugate)
 
 
 def four_lines_involution(phi12, phi34):
@@ -253,3 +254,60 @@ def test_quartic_case_table():
 def test_config_json_round_trip():
     config, _ = builtin_config("four-lines")
     assert MarkedConfig.from_json(config.to_json()) == config
+
+
+def random_config(sizes, genera, seed):
+    """Components of the given sizes and genera, marks matched at random."""
+    comps = tuple((g, tuple(f"c{i}m{j}" for j in range(n)))
+                  for i, (n, g) in enumerate(zip(sizes, genera)))
+    marks = [m for _, ms in comps for m in ms]
+    random.Random(seed).shuffle(marks)
+    return MarkedConfig(comps, tuple(zip(marks[::2], marks[1::2])))
+
+
+@pytest.mark.parametrize("sizes,genera,count", [
+    ((3, 3), (1, 1), 6),                 # invariant 3-mark components: none
+    ((4, 4), (0, 1), 18),                # genus 1: rho in {0, 4}
+    ((2, 2, 2, 2), (1, 1, 1, 1), 76),    # one class of four components
+    ((2, 4, 2), (1, 0, 1), 18),
+    ((6,), (2,), 30),
+    ((0, 0, 0), (0, 0, 0), 4),           # mark-free components
+])
+def test_candidate_count_closed_form(sizes, genera, count):
+    config = random_config(sizes, genera, 3)
+    assert _candidate_count(config) == count == sum(1 for _ in _candidates(config))
+
+
+def test_over_budget_refused_before_listing_component_maps():
+    # 20 mark-free components have 23 758 664 096 component involutions
+    config = MarkedConfig(tuple((0, ()) for _ in range(20)), ())
+    assert _candidate_count(config) == 23758664096
+    with pytest.raises(BudgetExceeded, match="gluing enumeration: 23758664096"):
+        enumerate_gluings(config)
+
+
+def test_candidate_count_of_builtin_configs():
+    for name in ("four-lines", "two-conics", "conic-two-lines", "cubic-line",
+                 "three-nodal"):
+        config, _ = builtin_config(name)
+        assert _candidate_count(config) == sum(1 for _ in _candidates(config))
+
+
+def test_cusp_classes_match_a_closure():
+    for sizes, genera, seed in (((4, 4), (0, 0), 1), ((2, 4, 2), (1, 0, 1), 2)):
+        config = random_config(sizes, genera, seed)
+        mate = dict(config.matching)
+        mate.update((b, a) for a, b in config.matching)
+        for inv in _candidates(config):
+            md = inv.mark_dict()
+            classes = set()
+            for a, b in config.matching:
+                marks = {a}
+                while True:
+                    grown = marks | {mate[m] for m in marks} | {md[m] for m in marks}
+                    if grown == marks:
+                        break
+                    marks = grown
+                classes.add(tuple(sorted(config.node_name(frozenset((m, mate[m])))
+                                         for m in marks if m < mate[m])))
+            assert cusp_classes(config, inv).classes == tuple(sorted(classes))
