@@ -20,10 +20,17 @@ class BudgetExceeded(RuntimeError):
     """A computation exceeded its step budget."""
 
 
+class BudgetSettingError(ValueError):
+    """STRATABENCH_STEP_BUDGET is not a non-negative integer."""
+
+
 def step_budget(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("STRATABENCH_STEP_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_STEP_BUDGET
+    if not env:
+        return DEFAULT_STEP_BUDGET
+    if not env.strip().isdecimal():
+        raise BudgetSettingError(
+            f"STRATABENCH_STEP_BUDGET must be a non-negative integer, got {env!r}")
+    return int(env)

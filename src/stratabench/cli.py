@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, Tuple, TypeVar
 
-from . import bidouble, canring, fibration, gluing, implicitize, s2e
-from .groebner import BudgetExceeded
+from . import (BudgetExceeded, BudgetSettingError, bidouble, canring, fibration, gluing,
+               implicitize, s2e)
 from .poly import PolynomialError
 from . import poly as polymod
 
@@ -188,7 +188,10 @@ def cmd_glue(args) -> Tuple[str, dict]:
         config = _load(name, gluing.MarkedConfig.from_json)
         sym = []
     else:
-        config, sym = gluing.builtin_config(name)
+        try:
+            config, sym = gluing.builtin_config(name)
+        except gluing.GluingError as exc:
+            raise UsageError(str(exc)) from None
     orbits = gluing.enumerate_gluings(config, sym)
     evidence["config"] = config.to_json()
     evidence["orbit_count"] = len(orbits)
@@ -420,7 +423,7 @@ def dispatch(argv) -> int:
             verdict, evidence = ("pass" if ok else "fail"), {"selftest": ok}
         else:
             verdict, evidence = HANDLERS[args.subcommand](args)
-    except UsageError as exc:
+    except (UsageError, BudgetSettingError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (PolynomialError, ValueError, BudgetExceeded, s2e.IdentityError) as exc:

@@ -6,6 +6,18 @@ criterion) and normal selection (minimal lcm in the term order).  The
 workloads in this package stay below eight variables and total degree
 about twelve, for which this implementation is entirely adequate.
 
+The bookkeeping is kept cheap without changing the algorithm:
+
+- each computation (`buchberger`, `normal_form`, `exact_divide`) builds
+  each monomial's order key once, in a dict from exponent to negated
+  key that lives only for that call;
+- each basis element's leading monomial is kept beside it, and the
+  remainder of a reduction lists its leading term first;
+- the next S-pair comes off a heap of (order key of the lcm, i, j), with
+  entries of pairs the criteria have dropped skipped when popped, so
+  ties still break on (i, j) and the pairs are processed in the same
+  sequence as a scan for the minimum would give.
+
 Every computation is budgeted: a step counter aborts with
 BudgetExceeded instead of hanging on an unexpectedly hard input.  The
 default budget can be overridden per call or through the
@@ -17,6 +29,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import BudgetExceeded, step_budget
@@ -56,39 +69,57 @@ class MonomialOrder:
 GREVLEX = MonomialOrder()
 
 
-def _leading(p: Polynomial, order: MonomialOrder) -> Tuple[Exponent, Fraction]:
-    w = p.ring.weights
-    e = max(p.terms, key=lambda m: order.key(m, w))
+class _Keys(dict):
+    """Exponent -> negated order key, filled on first lookup.
+
+    One instance lives for one computation, so each monomial's key is
+    built once; the negation makes the smallest key the largest monomial.
+    """
+
+    __slots__ = ("order", "weights")
+
+    def __init__(self, order: MonomialOrder, weights: Sequence[int]):
+        super().__init__()
+        self.order = order
+        self.weights = weights
+
+    def __missing__(self, e: Exponent):
+        k = self[e] = tuple(-x for x in self.order.key(e, self.weights))
+        return k
+
+
+def _leading(p: Polynomial, keys: _Keys) -> Tuple[Exponent, Fraction]:
+    e = min(p.terms, key=keys.__getitem__)
     return e, p.terms[e]
 
 
 def leading_monomial(p: Polynomial, order: MonomialOrder = GREVLEX) -> Exponent:
     if p.is_zero():
         raise PolynomialError("zero polynomial has no leading monomial")
-    return _leading(p, order)[0]
+    return _leading(p, _Keys(order, p.ring.weights))[0]
 
 
 def monic(p: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     if p.is_zero():
         return p
-    _, c = _leading(p, order)
+    _, c = _leading(p, _Keys(order, p.ring.weights))
     return p.scale(1 / c)
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _mul_exp(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class _Budget:
@@ -107,14 +138,17 @@ class _Budget:
 def _reduce_terms(
     terms: Dict[Exponent, Fraction],
     divisors: Sequence[Tuple[Exponent, Dict[Exponent, Fraction]]],
-    order: MonomialOrder,
-    weights: Sequence[int],
+    keys: _Keys,
     budget: _Budget,
 ) -> Dict[Exponent, Fraction]:
-    """Full remainder of a term dict modulo monic divisors (lm, terms)."""
+    """Full remainder of a term dict modulo monic divisors (lm, terms).
+
+    Terms leave the heap largest first, so the remainder's first key is
+    its leading monomial.
+    """
     work = dict(terms)
     remainder: Dict[Exponent, Fraction] = {}
-    heap = [(tuple(-x for x in order.key(e, weights)), e) for e in work]
+    heap = [(keys[e], e) for e in work]
     heapq.heapify(heap)
     while heap:
         _, e = heapq.heappop(heap)
@@ -134,9 +168,7 @@ def _reduce_terms(
                     if s:
                         work[m] = s
                         if prev is None:
-                            heapq.heappush(
-                                heap,
-                                (tuple(-x for x in order.key(m, weights)), m))
+                            heapq.heappush(heap, (keys[m], m))
                     else:
                         work.pop(m, None)
                 break
@@ -169,11 +201,12 @@ def normal_form(
     if any(g.ring != ring for g in gens):
         raise PolynomialError("mixed rings")
     b = _Budget(step_budget(budget))
+    keys = _Keys(order, ring.weights)
     divisors = []
     for g in gens:
-        lm, lc = _leading(g, order)
+        lm, lc = _leading(g, keys)
         divisors.append((lm, {e: c / lc for e, c in g.terms.items()}))
-    return Polynomial(ring, _reduce_terms(p.terms, divisors, order, ring.weights, b))
+    return Polynomial(ring, _reduce_terms(p.terms, divisors, keys, b))
 
 
 @dataclass(frozen=True)
@@ -206,47 +239,53 @@ def buchberger(
         raise PolynomialError("mixed rings")
     w = ring.weights
     b = _Budget(step_budget(budget))
+    keys = _Keys(order, w)
 
     G: List[Polynomial] = []
     lmG: List[Exponent] = []
-    pairs: set = set()
+    divisors: List[Tuple[Exponent, Dict[Exponent, Fraction]]] = []
+    pairs: Dict[Tuple[int, int], Exponent] = {}  # live pair -> lcm of its leading monomials
+    queue: List[tuple] = []  # (order key of the lcm, i, j); entries of dropped pairs are stale
 
-    def update(f: Polynomial):
+    def update(f: Polynomial, lmf: Exponent):
         """Gebauer-Moeller update of the pair set with the new basis element."""
-        lmf = _leading(f, order)[0]
         n = len(G)
-        kept = set()
-        for (i, j) in pairs:
-            lij = _lcm(lmG[i], lmG[j])
+        kept = {}
+        for (i, j), lij in pairs.items():
             if (not _divides(lmf, lij)
                     or lij == _lcm(lmG[i], lmf)
                     or lij == _lcm(lmG[j], lmf)):
-                kept.add((i, j))
+                kept[i, j] = lij
         new_lcms: Dict[Exponent, List[int]] = {}
         for i in range(n):
             new_lcms.setdefault(_lcm(lmG[i], lmf), []).append(i)
         minimal: List[Exponent] = []
-        for L in sorted(new_lcms, key=lambda m: order.key(m, w)):
+        for L in sorted(new_lcms, key=keys.__getitem__, reverse=True):
             if all(not _divides(M, L) for M in minimal):
                 minimal.append(L)
         for L in minimal:
             # coprime criterion: drop the pair if some representative is coprime
             if any(_lcm(lmG[i], lmf) == _mul_exp(lmG[i], lmf) for i in new_lcms[L]):
                 continue
-            kept.add((min(new_lcms[L]), n))
+            i = min(new_lcms[L])
+            kept[i, n] = L
+            heapq.heappush(queue, (order.key(L, w), i, n))
         G.append(monic(f, order))
         lmG.append(lmf)
+        divisors.append((lmf, G[-1].terms))
         pairs.clear()
         pairs.update(kept)
 
-    for g in sorted(gens, key=lambda p: order.key(_leading(p, order)[0], w)):
-        update(g)
+    leads = [(_leading(g, keys)[0], g) for g in gens]
+    for lm, g in sorted(leads, key=lambda t: keys[t[0]], reverse=True):
+        update(g, lm)
 
     while pairs:
         b.spend()
-        i, j = min(pairs, key=lambda ij: (order.key(_lcm(lmG[ij[0]], lmG[ij[1]]), w), ij))
-        pairs.discard((i, j))
-        L = _lcm(lmG[i], lmG[j])
+        _, i, j = heapq.heappop(queue)
+        while (i, j) not in pairs:
+            _, i, j = heapq.heappop(queue)
+        L = pairs.pop((i, j))
         s_terms: Dict[Exponent, Fraction] = {}
         for (k, sign) in ((i, 1), (j, -1)):
             shift = _sub(L, lmG[k])
@@ -257,36 +296,33 @@ def buchberger(
                     s_terms[m] = v
                 else:
                     s_terms.pop(m, None)
-        divisors = [(lmG[k], G[k].terms) for k in range(len(G))]
-        r = _reduce_terms(s_terms, divisors, order, w, b)
+        r = _reduce_terms(s_terms, divisors, keys, b)
         if r:
-            update(Polynomial(ring, r))
+            update(Polynomial(ring, r), next(iter(r)))
 
     # minimalise
-    order_key = lambda m: order.key(m, w)
-    idx = sorted(range(len(G)), key=lambda k: order_key(lmG[k]))
+    idx = sorted(range(len(G)), key=lambda k: keys[lmG[k]], reverse=True)
     minimal_idx: List[int] = []
     for k in idx:
         if all(not _divides(lmG[m], lmG[k]) for m in minimal_idx):
             minimal_idx.append(k)
-    Gmin = [G[k] for k in minimal_idx]
-    # interreduce
-    reduced: List[Polynomial] = []
-    for i, g in enumerate(Gmin):
-        others = Gmin[:i] + Gmin[i + 1:]
-        divisors = [(_leading(h, order)[0], h.terms) for h in others]
-        r = _reduce_terms(g.terms, divisors, order, w, b)
-        reduced.append(monic(Polynomial(ring, r), order))
-    reduced.sort(key=lambda p: order_key(_leading(p, order)[0]), reverse=True)
-    return GroebnerBasis(tuple(reduced), order, True)
+    # interreduce; no other leading monomial divides lmG[k], so it stays leading
+    reduced: List[Tuple[Exponent, Polynomial]] = []
+    for k in minimal_idx:
+        others = [(lmG[m], G[m].terms) for m in minimal_idx if m != k]
+        r = _reduce_terms(G[k].terms, others, keys, b)
+        reduced.append((lmG[k], monic(Polynomial(ring, r), order)))
+    reduced.sort(key=lambda t: keys[t[0]])
+    return GroebnerBasis(tuple(g for _, g in reduced), order, True)
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     """S-polynomial of f and g; used by the self-checking tests."""
     if f.ring != g.ring:
         raise PolynomialError("mixed rings")
-    lmf, lcf = _leading(f, order)
-    lmg, lcg = _leading(g, order)
+    keys = _Keys(order, f.ring.weights)
+    lmf, lcf = _leading(f, keys)
+    lmg, lcg = _leading(g, keys)
     L = _lcm(lmf, lmg)
     mf = f.ring.monomial(_sub(L, lmf), 1 / lcf)
     mg = f.ring.monomial(_sub(L, lmg), 1 / lcg)
@@ -341,13 +377,12 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         raise PolynomialError("division by zero polynomial")
     ring = f.ring
-    order = GREVLEX
-    w = ring.weights
-    lm, lc = _leading(g, order)
+    keys = _Keys(GREVLEX, ring.weights)
+    lm, lc = _leading(g, keys)
     work = dict(f.terms)
     quot: Dict[Exponent, Fraction] = {}
     while work:
-        e = max(work, key=lambda m: order.key(m, w))
+        e = min(work, key=keys.__getitem__)
         c = work[e]
         if not _divides(lm, e):
             raise PolynomialError("not an exact division")
@@ -412,7 +447,8 @@ def projective_empty(gens: Sequence[Polynomial], budget: Optional[int] = None) -
         if g.weighted_degree() == "inhomogeneous":
             raise PolynomialError("projective test expects homogeneous generators")
     gb = buchberger(gens, GREVLEX, budget=budget)
-    lms = [_leading(g, gb.order)[0] for g in gb]
+    keys = _Keys(gb.order, ring.weights)
+    lms = [_leading(g, keys)[0] for g in gb]
     for i in range(ring.nvars):
         if not any(all(e[j] == 0 for j in range(ring.nvars) if j != i) and e[i] > 0
                    for e in lms):

@@ -163,3 +163,19 @@ def test_gluing_over_budget_is_refused_up_front(tmp_path):
     assert out.returncode == 1
     assert out.stderr.startswith("error: gluing enumeration")
     assert len(out.stderr.splitlines()) == 1
+
+
+def test_malformed_step_budget_is_a_usage_error(monkeypatch, capsys):
+    for value in ("abc", "-3", "1e3"):
+        monkeypatch.setenv("STRATABENCH_STEP_BUDGET", value)
+        for argv in (["glue", "--config", "two-conics"], ["implicitize", "--a", "2", "--b", "3"]):
+            assert dispatch(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: STRATABENCH_STEP_BUDGET")
+            assert len(err.splitlines()) == 1
+
+
+def test_unknown_glue_config_is_a_usage_error(capsys):
+    assert dispatch(["glue", "--config", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unknown config 'nosuch'") and len(err.splitlines()) == 1

@@ -226,3 +226,16 @@ def test_reduced_basis_shape():
                 if e != lm:
                     assert not all(a <= b for a, b in zip(lmh, e))
     assert keys == sorted(keys, reverse=True)
+
+
+def test_implicitize_elimination_step_count_is_pinned():
+    # The (2, 3) graph ideal of implicitize takes exactly 1008 steps (S-pairs
+    # plus division steps); a change of pair selection or reduction shows here.
+    from stratabench.implicitize import GRAPH_RING, ParametrizationInput, build_parametrization
+    from stratabench.poly import rename_into
+
+    params = build_parametrization(ParametrizationInput(Fraction(2), Fraction(3)))
+    gens = [GRAPH_RING.var(n) - rename_into(p, GRAPH_RING) for n, p in zip("xyz", params)]
+    assert len(eliminate(gens, {"u", "v"}, budget=1008)) == 1
+    with pytest.raises(BudgetExceeded):
+        eliminate(gens, {"u", "v"}, budget=1007)

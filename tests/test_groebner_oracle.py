@@ -1,0 +1,95 @@
+"""Differential test of the Groebner engine against sympy (skipped without it)."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from stratabench.groebner import GREVLEX, buchberger, eliminate, normal_form
+from stratabench.poly import Polynomial, WeightedRing
+
+sp = pytest.importorskip("sympy")
+
+NAMES = ("x", "y", "z")
+
+
+def _random_poly(rng, ring, max_deg=3, homogeneous=False):
+    """Two to four terms with small integer coefficients, degree <= max_deg."""
+    top = rng.randint(1, max_deg)
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        e = [0] * ring.nvars
+        for _ in range(top if homogeneous else rng.randint(0, top)):
+            e[rng.randrange(ring.nvars)] += 1
+        terms[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return Polynomial(ring, terms)
+
+
+def _random_ideal(rng, ring):
+    """Between two and nvars generators; about half the ideals are homogeneous."""
+    homogeneous = rng.random() < 0.5
+    gens = [_random_poly(rng, ring, homogeneous=homogeneous)
+            for _ in range(rng.randint(2, ring.nvars))]
+    return [g for g in gens if not g.is_zero()]
+
+
+def _to_sympy(p, symbols):
+    return sp.Poly.from_dict(
+        {e: sp.Rational(c.numerator, c.denominator) for e, c in p.terms.items()},
+        *symbols, domain="QQ")
+
+
+def _terms(q):
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in q.terms() if c != 0}
+
+
+def _sympy_ring(rng):
+    n = rng.choice((2, 3, 3))
+    ring = WeightedRing(NAMES[:n], (1,) * n)
+    return ring, sp.symbols(" ".join(ring.names), seq=True)
+
+
+def test_buchberger_and_normal_form_match_sympy():
+    rng = random.Random(4021)
+    for _ in range(30):
+        ring, symbols = _sympy_ring(rng)
+        gens = _random_ideal(rng, ring)
+        if not gens:
+            continue
+        ours = buchberger(gens, GREVLEX)
+        theirs = sp.groebner([_to_sympy(g, symbols) for g in gens], *symbols,
+                             order="grevlex", domain="QQ")
+        assert [g.terms for g in ours] == [_terms(q) for q in theirs.polys]
+        for _ in range(3):
+            p = _random_poly(rng, ring, max_deg=4)
+            _, remainder = theirs.reduce(_to_sympy(p, symbols).as_expr())
+            expected = _terms(sp.Poly(remainder, *symbols, domain="QQ"))
+            assert normal_form(p, ours).terms == expected
+
+
+def test_eliminate_matches_sympy_lex_elimination_ideal():
+    rng = random.Random(1988)
+    ring = WeightedRing(NAMES, (1, 1, 1))
+    x, y, z = sp.symbols("x y z")
+    keep_symbols = (y, z)
+    for _ in range(12):
+        gens = [_random_poly(rng, ring, max_deg=2) for _ in range(2)]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        ours = eliminate(gens, {"x"})
+        lex = sp.groebner([_to_sympy(g, (x, y, z)) for g in gens], x, y, z,
+                          order="lex", domain="QQ")
+        # by the elimination theorem this part is a lex basis of the elimination
+        # ideal, so reducing by it decides membership
+        part = [q.as_expr() for q in lex.polys if q.degree(x) == 0]
+        ours_sp = [_to_sympy(g, keep_symbols).as_expr() for g in ours]
+        if not part:
+            assert ours == []
+            continue
+        assert ours
+        for g in ours_sp:
+            assert sp.reduced(g, part, *keep_symbols, order="lex", domain="QQ")[1] == 0
+        ours_gb = sp.groebner(ours_sp, *keep_symbols, order="grevlex", domain="QQ")
+        for q in part:
+            assert ours_gb.contains(q)
