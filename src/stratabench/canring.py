@@ -122,24 +122,6 @@ class CanonicalRingModel:
         return CanonicalRingModel(*(poly.from_json(doc[k]) for k in ("a1", "a2", "b1", "b2")))
 
 
-def _binary_form_coeffs(p: Polynomial, deg: int) -> List[Fraction]:
-    """Coefficients [c_0..c_deg] in y1 of a binary form in (y1, y2).
-
-    `p` must be b_i(0, y1, y2): every term a pure y-monomial of ordinary
-    degree `deg`.
-    """
-    out = [Fraction(0)] * (deg + 1)
-    iy1 = p.ring.index("y1")
-    iy2 = p.ring.index("y2")
-    for e, c in p.terms.items():
-        if any(e[i] for i in range(p.ring.nvars) if i not in (iy1, iy2)):
-            raise ModelError("not a binary form in (y1, y2)")
-        if e[iy1] + e[iy2] != deg:
-            raise ModelError("binary form of unexpected degree")
-        out[e[iy1]] = c
-    return out
-
-
 @dataclass(frozen=True)
 class CanRingValidation:
     shape_ok: bool
@@ -180,17 +162,15 @@ def validate_canring(model: CanonicalRingModel) -> CanRingValidation:
     g = poly_gcd(model.b1, model.b2)
     coprime_ok = g == CANONICAL_RING.one()
 
-    # restrict to x = 0: substitute x -> 0 within the same ring
-    zero = CANONICAL_RING.zero()
-    b1_0 = model.b1.substitute({"x": zero, "y1": CANONICAL_RING.var("y1"),
-                                "y2": CANONICAL_RING.var("y2")})
-    b2_0 = model.b2.substitute({"x": zero, "y1": CANONICAL_RING.var("y1"),
-                                "y2": CANONICAL_RING.var("y2")})
-    if b1_0.is_zero() or b2_0.is_zero():
+    # restrict to x = 0: b_i has degree 6, so its x-free terms are the
+    # binary cubic sum c_i * y1^i * y2^(3-i)
+    b1_0, b2_0 = ([b.coeff((0, i, 3 - i, 0, 0)) for i in range(4)]
+                  for b in (model.b1, model.b2))
+    if not any(b1_0) or not any(b2_0):
         ambient_ok = False
         detail = "a b_i vanishes on the x=0 locus"
     else:
-        res = resultant(_binary_form_coeffs(b1_0, 3), _binary_form_coeffs(b2_0, 3))
+        res = resultant(b1_0, b2_0)
         ambient_ok = res != 0
         detail = f"res(b1|x=0, b2|x=0) = {res}"
     # z-locus: f1, f2 restricted to x=y1=y2=0 are z1^2 and z2^2, which

@@ -73,12 +73,16 @@ class MarkedConfig:
     def component_of(self) -> Dict[str, int]:
         return {m: i for i, (_, marks) in enumerate(self.components) for m in marks}
 
+    def _names(self) -> Tuple[str, ...]:
+        """The name of every node, parallel to the matching."""
+        if self.node_names is not None:
+            return self.node_names
+        return tuple("~".join(sorted(pair)) for pair in self.matching)
+
     def node_name(self, pair: FrozenSet[str]) -> str:
-        for i, (a, b) in enumerate(self.matching):
+        for name, (a, b) in zip(self._names(), self.matching):
             if frozenset((a, b)) == pair:
-                if self.node_names is not None:
-                    return self.node_names[i]
-                return "~".join(sorted((a, b)))
+                return name
         raise GluingError("not a matching pair")
 
     def to_json(self) -> dict:
@@ -199,7 +203,11 @@ def cusp_classes(config: MarkedConfig, inv: GluingInvolution) -> CuspPartition:
     involutions of the marks, so each class is one cycle alternating
     between them; walking it from any mark lists the nodes it crosses.
     """
-    mate = {m: im for a, b in config.matching for m, im in ((a, b), (b, a))}
+    mate = {}
+    node_of = {}   # mark -> name of the node it lies over
+    for name, (a, b) in zip(config._names(), config.matching):
+        mate[a], mate[b] = b, a
+        node_of[a] = node_of[b] = name
     md = inv.mark_dict()
     seen = set()
     classes = []
@@ -210,7 +218,7 @@ def cusp_classes(config: MarkedConfig, inv: GluingInvolution) -> CuspPartition:
         m = start
         while m not in seen:
             seen.update((m, mate[m]))
-            nodes.append(config.node_name(frozenset((m, mate[m]))))
+            nodes.append(node_of[m])
             m = md[mate[m]]
         classes.append(tuple(sorted(nodes)))
     return CuspPartition(tuple(sorted(classes)))

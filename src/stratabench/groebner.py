@@ -11,8 +11,9 @@ The bookkeeping is kept cheap without changing the algorithm:
 - each computation (`buchberger`, `normal_form`, `exact_divide`) builds
   each monomial's order key once, in a dict from exponent to negated
   key that lives only for that call;
-- each basis element's leading monomial is kept beside it, and the
-  remainder of a reduction lists its leading term first;
+- each basis element's leading monomial is kept beside it, so making
+  the element monic reads its leading coefficient instead of scanning
+  for it, and the remainder of a reduction lists its leading term first;
 - the next S-pair comes off a heap of (order key of the lcm, i, j), with
   entries of pairs the criteria have dropped skipped when popped, so
   ties still break on (i, j) and the pairs are processed in the same
@@ -270,7 +271,7 @@ def buchberger(
             i = min(new_lcms[L])
             kept[i, n] = L
             heapq.heappush(queue, (order.key(L, w), i, n))
-        G.append(monic(f, order))
+        G.append(f.scale(1 / f.terms[lmf]))
         lmG.append(lmf)
         divisors.append((lmf, G[-1].terms))
         pairs.clear()
@@ -306,12 +307,13 @@ def buchberger(
     for k in idx:
         if all(not _divides(lmG[m], lmG[k]) for m in minimal_idx):
             minimal_idx.append(k)
-    # interreduce; no other leading monomial divides lmG[k], so it stays leading
+    # interreduce; no other leading monomial divides lmG[k], so it stays
+    # leading with coefficient 1
     reduced: List[Tuple[Exponent, Polynomial]] = []
     for k in minimal_idx:
         others = [(lmG[m], G[m].terms) for m in minimal_idx if m != k]
         r = _reduce_terms(G[k].terms, others, keys, b)
-        reduced.append((lmG[k], monic(Polynomial(ring, r), order)))
+        reduced.append((lmG[k], Polynomial(ring, r)))
     reduced.sort(key=lambda t: keys[t[0]])
     return GroebnerBasis(tuple(g for _, g in reduced), order, True)
 

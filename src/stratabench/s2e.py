@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .poly import Polynomial, WeightedRing, scalar_ratio, weighted_exponents
+from .poly import Polynomial, WeightedRing, scalar_ratio, to_json, weighted_exponents
 
 GEOM_VARS = ("z1", "x1", "y1", "z2", "x2", "y2")
 FACTOR1_WEIGHTS = (1, 2, 3, 0, 0, 0)
@@ -91,40 +92,36 @@ class Context:
         # y_i^2 rewrites to these
         self.rhs1 = x1 ** 3 + x1 * z1 ** 4 * a + z1 ** 6 * b
         self.rhs2 = x2 ** 3 + x2 * z2 ** 4 * a + z2 ** 6 * b
-        self._pow1: Dict[int, Polynomial] = {0: R.one(), 1: self.rhs1}
-        self._pow2: Dict[int, Polynomial] = {0: R.one(), 1: self.rhs2}
+        # (k1, k2) -> term map of rhs1^k1 * rhs2^k2
+        self._rhs_terms: Dict[Tuple[int, int], Dict[tuple, Fraction]] = {}
         self.iy1 = R.index("y1")
         self.iy2 = R.index("y2")
 
     # -- normal form -----------------------------------------------------
 
-    def _rhs_power(self, cache, base, k):
-        if k not in cache:
-            cache[k] = cache[k - 1] * base
-        return cache[k]
-
     def normal_form(self, p: Polynomial) -> Polynomial:
-        """Unique representative with y-exponents at most 1."""
+        """Unique representative with y-exponents at most 1.
+
+        y1^(2*k1+r1) * y2^(2*k2+r2) becomes y1^r1 * y2^r2 * rhs1^k1 * rhs2^k2;
+        rhs1 and rhs2 are y-free, so one pass leaves every y-exponent at most 1.
+        """
         if p.ring != self.ring:
             raise S2EError("polynomial from a different context")
-        R = self.ring
-        out = R.zero()
+        iy1, iy2 = self.iy1, self.iy2
+        out: Dict[tuple, Fraction] = {}
         for e, c in p.terms.items():
-            k1, r1 = divmod(e[self.iy1], 2)
-            k2, r2 = divmod(e[self.iy2], 2)
+            k1, r1 = divmod(e[iy1], 2)
+            k2, r2 = divmod(e[iy2], 2)
             base = list(e)
-            base[self.iy1] = r1
-            base[self.iy2] = r2
-            term = R.monomial(tuple(base), c)
-            if k1:
-                term = term * self._rhs_power(self._pow1, self.rhs1, k1)
-            if k2:
-                term = term * self._rhs_power(self._pow2, self.rhs2, k2)
-            out = out + term
-        if any(e[self.iy1] > 1 or e[self.iy2] > 1 for e in out.terms):
-            # rhs powers are y-free, so one pass suffices; guard anyway
-            return self.normal_form(out)
-        return out
+            base[iy1] = r1
+            base[iy2] = r2
+            rhs = self._rhs_terms.get((k1, k2))
+            if rhs is None:
+                rhs = self._rhs_terms[k1, k2] = (self.rhs1 ** k1 * self.rhs2 ** k2).terms
+            for d_e, d in rhs.items():
+                m = tuple(map(add, base, d_e))
+                out[m] = out.get(m, 0) + c * d
+        return Polynomial(self.ring, out)
 
     def nf_mul(self, p: Polynomial, q: Polynomial) -> Polynomial:
         return self.normal_form(p * q)
@@ -262,14 +259,17 @@ def antidiagonal_kernel(ctx: Context, m: int) -> List[Polynomial]:
     ker = linalg.nullspace(M) if M else [
         [Fraction(1 if i == j else 0) for j in range(len(basis))]
         for i in range(len(basis))]
-    out = []
-    for v in ker:
-        el = ctx.ring.zero()
-        for c, p in zip(v, basis):
-            if c:
-                el = el + p.scale(c)
-        out.append(el)
-    return out
+    return [_combine(ctx, v, basis) for v in ker]
+
+
+def _combine(ctx: Context, coeffs: Sequence[Fraction],
+             basis: Sequence[Polynomial]) -> Polynomial:
+    """The linear combination sum(c * p) of basis elements."""
+    terms: Dict[tuple, Fraction] = {}
+    for c, p in zip(coeffs, basis):
+        for e, v in p.terms.items():
+            terms[e] = terms.get(e, 0) + c * v
+    return Polynomial(ctx.ring, terms)
 
 
 def _restrict_antidiagonal(ctx: Context, p: Polynomial) -> Polynomial:
@@ -304,7 +304,6 @@ def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
     rhs = [ctx.nf_mul(p, -s4) for p in basis]
     M, _ = _coordinates(lhs + rhs)
     ker = linalg.nullspace(M)
-    out = []
     seen_rows: List[List[Fraction]] = []
     for v in ker:
         coeffs = v[:len(basis)]
@@ -314,13 +313,7 @@ def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
         seen_rows.append(list(coeffs))
     # canonicalise the p-projection
     reduced, pivots = linalg.rref(seen_rows) if seen_rows else ([], [])
-    for r in range(len(pivots)):
-        el = ctx.ring.zero()
-        for c, p in zip(reduced[r], basis):
-            if c:
-                el = el + p.scale(c)
-        out.append(el)
-    return out
+    return [_combine(ctx, reduced[r], basis) for r in range(len(pivots))]
 
 
 class IdentityError(RuntimeError):
@@ -402,7 +395,8 @@ def verify_theorem_relations(ctx: Context) -> dict:
     (t3,s4) or (s4,t3).  Each candidate gets a z-rescaling z1->l*z1,
     z2->u*z2 solved linearly from normal-form coordinates; success
     means both relations reduce exactly to zero.  Exactly one
-    assignment is expected to succeed.
+    assignment is expected to succeed.  A symbolic context runs the same
+    search exactly in Q[alpha, beta] and reports only the success.
     """
     if ctx.alpha is None:
         raise S2EError("gluing parameters required")
@@ -419,29 +413,27 @@ def verify_theorem_relations(ctx: Context) -> dict:
         ("t-system z=(t3,s4)", t[0], t[2], t[1], t[3], els["s4"]),
         ("t-system z=(s4,t3)", t[0], t[2], t[1], els["s4"], t[3]),
     ]
-    if ctx.symbolic:
-        return _verify_relations_symbolic(ctx, candidates, a, b, al, be)
-
     results = []
-    successes = []
     for name, X, Y1, Y2, Z1, Z2 in candidates:
         res = _try_assignment(ctx, X, Y1, Y2, Z1, Z2, a, b, al, be)
         res["assignment"] = name
         results.append(res)
-        if res["success"]:
-            successes.append(name)
+    successes = [r for r in results if r["success"]]
     if len(successes) != 1:
         raise S2EError(
-            f"expected exactly one succeeding assignment, got {successes}; "
+            f"expected exactly one succeeding assignment, "
+            f"got {[r['assignment'] for r in successes]}; "
             f"residual report: {[(r['assignment'], r['reason']) for r in results]}")
-    return {"assignments": results, "succeeding": successes[0]}
+    winner = successes[0]["assignment"]
+    if ctx.symbolic:
+        successes[0]["reason"] = "symbolic identity"
+        return {"assignments": successes, "succeeding": winner, "symbolic": True}
+    return {"assignments": results, "succeeding": winner}
 
 
 def _try_assignment(ctx, X, Y1, Y2, Z1, Z2, a, b, al, be) -> dict:
     nf = ctx.normal_form
     b1 = nf(_b1_poly(ctx.ring, X, Y1, Y2, a, b))
-    a2 = nf(_a2_poly(ctx.ring, X, Y1, Y2, al, be))
-    b2 = nf(_b2_poly(ctx.ring, X, Y1, Y2, a, b, al, be))
     z1sq = nf(Z1 * Z1)
     # r1: lam2 * z1^2 + b1 = 0
     lam2 = scalar_ratio(-b1, z1sq)
@@ -449,13 +441,12 @@ def _try_assignment(ctx, X, Y1, Y2, Z1, Z2, a, b, al, be) -> dict:
         return {"success": False, "reason": "no z1-rescaling solves r1",
                 "lambda2": None, "mu2": None, "lambda": None}
     # r2: mu2 * z2^2 + lam * (x*z1*a2) + b2 = 0, linear in (mu2, lam)
+    a2 = nf(_a2_poly(ctx.ring, X, Y1, Y2, al, be))
+    b2 = nf(_b2_poly(ctx.ring, X, Y1, Y2, a, b, al, be))
     z2sq = nf(Z2 * Z2)
     cross = nf(X * Z1 * a2)
-    support = sorted(set(z2sq.terms) | set(cross.terms) | set(b2.terms))
-    M = [[z2sq.terms.get(mono, Fraction(0)), cross.terms.get(mono, Fraction(0))]
-         for mono in support]
-    rhs_vec = [-b2.terms.get(mono, Fraction(0)) for mono in support]
-    sol = linalg.solve(M, rhs_vec)
+    M, _ = _coordinates([z2sq, cross, -b2])
+    sol = linalg.solve([row[:2] for row in M], [row[2] for row in M])
     if sol is None:
         return {"success": False, "reason": "r2 has no (mu^2, lambda) solution",
                 "lambda2": str(lam2), "mu2": None, "lambda": None}
@@ -470,34 +461,6 @@ def _try_assignment(ctx, X, Y1, Y2, Z1, Z2, a, b, al, be) -> dict:
     ok = r1.is_zero() and r2.is_zero()
     return {"success": ok, "reason": "ok" if ok else "nonzero residual",
             "lambda2": str(lam2), "mu2": str(mu2), "lambda": str(lam)}
-
-
-def _verify_relations_symbolic(ctx, candidates, a, b, al, be) -> dict:
-    """Discover the assignment at a fixed generic specialisation, then
-    confirm the relations as exact identities in Q[alpha, beta]."""
-    probe_params = ctx.params
-    probe = Context(probe_params, GluingParams(Fraction(5, 7), Fraction(3, 11)))
-    probe_result = verify_theorem_relations(probe)
-    winner = probe_result["succeeding"]
-    idx = [c[0] for c in candidates].index(winner)
-    name, X, Y1, Y2, Z1, Z2 = candidates[idx]
-    lam2 = Fraction(probe_result["assignments"][idx]["lambda2"])
-    lam = Fraction(probe_result["assignments"][idx]["lambda"])
-    mu2 = Fraction(probe_result["assignments"][idx]["mu2"])
-    nf = ctx.normal_form
-    b1 = nf(_b1_poly(ctx.ring, X, Y1, Y2, a, b))
-    a2 = nf(_a2_poly(ctx.ring, X, Y1, Y2, al, be))
-    b2 = nf(_b2_poly(ctx.ring, X, Y1, Y2, a, b, al, be))
-    r1 = nf((Z1 * Z1).scale(lam2) + b1)
-    r2 = nf((Z2 * Z2).scale(mu2) + (X * Z1 * a2).scale(lam) + b2)
-    if not (r1.is_zero() and r2.is_zero()):
-        raise S2EError(f"symbolic relations fail for assignment {name}")
-    report = {"assignments": [{"assignment": name, "success": True,
-                               "reason": "symbolic identity",
-                               "lambda2": str(lam2), "mu2": str(mu2),
-                               "lambda": str(lam)}],
-              "succeeding": name, "symbolic": True}
-    return report
 
 
 def generation_check(ctx: Context, upto: int,
@@ -531,8 +494,6 @@ def generation_check(ctx: Context, upto: int,
 
 def pipeline_report(params: WeierstrassParams, glue: GluingParams) -> dict:
     """Everything the verification needs for one parameter tuple."""
-    from . import poly as polymod
-
     ctx = Context(params, glue)
     dims = {m: len(invariant_basis(ctx, m)) for m in range(1, 7)}
     anti3 = antidiagonal_kernel(ctx, 3)
@@ -544,9 +505,9 @@ def pipeline_report(params: WeierstrassParams, glue: GluingParams) -> dict:
                    "alpha": str(glue.alpha), "beta": str(glue.beta)},
         "invariant_dims": {str(m): d for m, d in dims.items()},
         "antidiagonal_kernel_dim_3": len(anti3),
-        "antidiagonal_kernel_3": [polymod.to_json(p) for p in anti3],
+        "antidiagonal_kernel_3": [to_json(p) for p in anti3],
         "conductor_dims": {str(m): len(v) for m, v in cond.items()},
-        "conductor_bases": {str(m): [polymod.to_json(p) for p in v]
+        "conductor_bases": {str(m): [to_json(p) for p in v]
                             for m, v in cond.items()},
         "identity1_ok": gens["identity1_ok"],
         "identity1_scalar": str(gens["identity1_scalar"]),

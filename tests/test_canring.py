@@ -103,6 +103,16 @@ def test_validate_common_zero_on_x0_fails():
     assert report.coprime_ok and not report.ambient_ok
 
 
+def test_validate_b_divisible_by_x_fails():
+    x, y1, y2 = XY_RING.var("x"), XY_RING.var("y1"), XY_RING.var("y2")
+    # x | b1, so b1 restricted to x=0 is identically zero
+    model = CanonicalRingModel(XY_RING.zero(), XY_RING.zero(),
+                               x ** 2 * y1 ** 2 + x ** 6, y1 ** 3 + y2 ** 3)
+    report = validate_canring(model).to_json()
+    assert report["coprime_ok"] and report["ambient_ok"] is False
+    assert report["detail"] == "a b_i vanishes on the x=0 locus"
+
+
 def test_inhomogeneous_inputs_rejected():
     x = XY_RING.var("x")
     with pytest.raises(ModelError):

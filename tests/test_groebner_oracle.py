@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from stratabench.groebner import GREVLEX, buchberger, eliminate, normal_form
-from stratabench.poly import Polynomial, WeightedRing
+from stratabench.groebner import (GREVLEX, buchberger, eliminate, normal_form, poly_gcd,
+                                  resultant)
+from stratabench.poly import Polynomial, WeightedRing, scalar_ratio
 
 sp = pytest.importorskip("sympy")
+from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 NAMES = ("x", "y", "z")
 
@@ -93,3 +95,38 @@ def test_eliminate_matches_sympy_lex_elimination_ideal():
         ours_gb = sp.groebner(ours_sp, *keep_symbols, order="grevlex", domain="QQ")
         for q in part:
             assert ours_gb.contains(q)
+
+
+def _from_sympy(q, ring):
+    return Polynomial(ring, _terms(q))
+
+
+def test_resultant_matches_sympy():
+    rng = random.Random(1853)
+    for _ in range(40):
+        ring, symbols = _sympy_ring(rng)
+        f, g = (_random_poly(rng, ring) for _ in range(2))
+        name = ring.names[0]
+        if f.degree_in(name) < 1 or g.degree_in(name) < 1:
+            continue
+        # sympy's own resultant() swaps its arguments when deg f < deg g, which
+        # flips the sign when both degrees are odd; the Sylvester determinant
+        # is the definition both sides share
+        det = sylvester(_to_sympy(f, symbols).as_expr(), _to_sympy(g, symbols).as_expr(),
+                        symbols[0]).det()
+        theirs = sp.Poly(sp.expand(det), *symbols, domain="QQ")
+        assert resultant(f, g, name) == _from_sympy(theirs, ring)
+
+
+def test_poly_gcd_matches_sympy():
+    rng = random.Random(1876)
+    for _ in range(12):
+        ring, symbols = _sympy_ring(rng)
+        common = _random_poly(rng, ring, max_deg=2)
+        f, g = (common * _random_poly(rng, ring, max_deg=2) for _ in range(2))
+        if f.is_zero() or g.is_zero():
+            continue
+        ours = poly_gcd(f, g)
+        theirs = _from_sympy(sp.gcd(_to_sympy(f, symbols), _to_sympy(g, symbols)), ring)
+        # both are normalised, by different rules; they agree up to a scalar
+        assert scalar_ratio(ours, theirs) not in (None, 0)

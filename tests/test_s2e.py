@@ -2,14 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stratabench import linalg
+from stratabench import groebner, linalg
 from stratabench.s2e import (Context, GluingParams, S2EError,
                              WeierstrassParams, antidiagonal_kernel,
                              conductor_vanishing_basis, factor_basis,
                              generation_check, invariant_basis, s_generators,
                              verify_theorem_relations, _b1_poly, _coordinates)
-from stratabench.poly import WeightedRing
+from stratabench.poly import Polynomial, WeightedRing, rename_into
 
 P11 = WeierstrassParams(Fraction(1), Fraction(1))
 G11 = GluingParams(Fraction(1), Fraction(1))
@@ -50,6 +51,42 @@ def test_normal_form_idempotent_confluent():
         nf = ctx.normal_form(p)
         assert ctx.normal_form(nf) == nf
         assert all(ee[2] <= 1 and ee[5] <= 1 for ee in nf.terms)
+
+
+def _weierstrass_basis(ctx):
+    """{y1^2 - rhs1, y2^2 - rhs2} in a block order with y1, y2 first.
+
+    The leading monomials y1^2 and y2^2 are coprime, so the two relations
+    are a Groebner basis and the remainder modulo them is unique.
+    """
+    R = ctx.ring
+    names = ("y1", "y2") + tuple(n for n in R.names if n not in ("y1", "y2"))
+    block = WeightedRing(names, tuple(R.weights[R.index(n)] for n in names))
+    rels = [rename_into(R.var(y) ** 2 - rhs, block)
+            for y, rhs in (("y1", ctx.rhs1), ("y2", ctx.rhs2))]
+    return groebner.GroebnerBasis(tuple(rels), groebner.MonomialOrder("block-elimination", 2))
+
+
+NF_PARAMS = WeierstrassParams(Fraction(2, 3), Fraction(-5, 7))
+NF_CONTEXTS = [Context(NF_PARAMS, GluingParams(Fraction(3, 2), Fraction(-1, 3))),
+               Context(NF_PARAMS, symbolic=True)]
+NF_BASES = [_weierstrass_basis(ctx) for ctx in NF_CONTEXTS]
+# exponents for z1, x1, y1, z2, x2, y2, al, be (the last two only when symbolic)
+EXPONENTS = st.tuples(*(st.integers(0, 5 if i in (2, 5) else 2) for i in range(8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symbolic=st.booleans(),
+       terms=st.lists(st.tuples(EXPONENTS, st.fractions(max_denominator=5)),
+                      min_size=1, max_size=5))
+def test_normal_form_is_the_groebner_remainder(symbolic, terms):
+    ctx, gb = NF_CONTEXTS[symbolic], NF_BASES[symbolic]
+    n = ctx.ring.nvars
+    p = Polynomial(ctx.ring, {e[:n]: c for e, c in terms})
+    nf = ctx.normal_form(p)
+    assert all(e[ctx.iy1] <= 1 and e[ctx.iy2] <= 1 for e in nf.terms)
+    assert nf == rename_into(groebner.normal_form(rename_into(p, gb.generators[0].ring), gb),
+                             ctx.ring)
 
 
 def test_factor_basis_dimensions():
@@ -179,6 +216,16 @@ def test_theorem_relations_symbolic():
     assert report["symbolic"] and report["succeeding"] == "t-system z=(t3,s4)"
 
 
+@pytest.mark.parametrize("a, b", [(1, 1), (Fraction(2, 3), Fraction(-5, 7))])
+def test_theorem_relations_symbolic_report(a, b):
+    report = verify_theorem_relations(Context(WeierstrassParams(a, b), symbolic=True))
+    assert report == {
+        "assignments": [{"assignment": "t-system z=(t3,s4)", "success": True,
+                         "reason": "symbolic identity",
+                         "lambda2": "1", "mu2": "1", "lambda": "1"}],
+        "succeeding": "t-system z=(t3,s4)", "symbolic": True}
+
+
 def test_theorem_relations_non_generic_rejected():
     ctx = Context(P11, GluingParams(Fraction(1), Fraction(0)))
     with pytest.raises(S2EError, match="non-generic"):
@@ -213,7 +260,7 @@ def test_conductor_kernel_vanishes_groebner_route():
     # multiplying by x2 - x1 kills the antidiagonal component, so genuine
     # conductor-vanishing sections land in the ideal (f1, f2, s4).
     from stratabench.groebner import buchberger, normal_form
-    from stratabench.poly import WeightedRing
+    from stratabench.poly import Polynomial, WeightedRing, rename_into
 
     ctx = ctx11()
     a, b = ctx.params.a, ctx.params.b
