@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import poly
 from .forms import distinct_roots, resultant
@@ -186,16 +186,18 @@ class NonGenericBase(ValueError):
 
 
 def bicanonical_fiber_count(model: CanonicalRingModel,
-                            base: Tuple[Fraction, Fraction, Fraction]) -> int:
+                            base: Tuple[Fraction, Fraction, Fraction], *,
+                            validation: Optional[CanRingValidation] = None) -> int:
     """Number of distinct points of X above a base point of P^2.
 
     The bicanonical map is induced by (x^2 : y1 : y2).  Working in the
     affine chart u0 = 1 fixes the square root x = 1; the residual +-x
     identification is the weighted scalar action, so distinct
     (z1, z2)-solutions of the two relations count fiber points exactly
-    once.  Generically there are four.
+    once.  Generically there are four.  An invalid model raises
+    ModelError; `validation`, if given, is `validate_canring(model)`.
     """
-    report = validate_canring(model)
+    report = validate_canring(model) if validation is None else validation
     if not report.valid:
         raise ModelError(f"invalid model: {report.to_json()}")
     u0, u1, u2 = (Fraction(c) for c in base)

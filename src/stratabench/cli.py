@@ -9,6 +9,7 @@ separate "meta" field so golden comparisons can ignore it.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -112,7 +113,8 @@ def cmd_canring(args) -> Tuple[str, dict]:
     if args.fiber:
         base = _point(args.fiber, "--fiber")
         try:
-            evidence["fiber_count"] = canring.bicanonical_fiber_count(model, base)
+            evidence["fiber_count"] = canring.bicanonical_fiber_count(
+                model, base, validation=report)
         except canring.NonGenericBase as exc:
             evidence["fiber_count"] = None
             evidence["fiber_error"] = str(exc)
@@ -265,10 +267,10 @@ def _selftest_hilbert() -> bool:
 
 def _selftest_canring() -> bool:
     model = _demo_model()
-    if not canring.validate_canring(model).valid:
-        return False
+    report = canring.validate_canring(model)
     base = (Fraction(1), Fraction(1), Fraction(1))
-    return canring.bicanonical_fiber_count(model, base) == 4
+    return report.valid and canring.bicanonical_fiber_count(
+        model, base, validation=report) == 4
 
 
 def _selftest_bidouble() -> bool:
@@ -414,9 +416,14 @@ HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "selftest", False):
             ok = SELFTESTS[args.subcommand]()

@@ -30,13 +30,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import BudgetExceeded, step_budget
 from .forms import sylvester
-from .poly import (Exponent, Polynomial, PolynomialError, WeightedRing, rename_into,
-                   revlex_key)
+from .poly import (Exponent, Polynomial, PolynomialError, WeightedRing, collect,
+                   rename_into, revlex_key)
 
 @dataclass(frozen=True)
 class MonomialOrder:
@@ -207,7 +208,7 @@ def normal_form(
     for g in gens:
         lm, lc = _leading(g, keys)
         divisors.append((lm, {e: c / lc for e, c in g.terms.items()}))
-    return Polynomial(ring, _reduce_terms(p.terms, divisors, keys, b))
+    return collect(ring, _reduce_terms(p.terms, divisors, keys, b).items())
 
 
 @dataclass(frozen=True)
@@ -287,19 +288,13 @@ def buchberger(
         while (i, j) not in pairs:
             _, i, j = heapq.heappop(queue)
         L = pairs.pop((i, j))
-        s_terms: Dict[Exponent, Fraction] = {}
-        for (k, sign) in ((i, 1), (j, -1)):
-            shift = _sub(L, lmG[k])
-            for e, c in G[k].terms.items():
-                m = _mul_exp(e, shift)
-                v = s_terms.get(m, 0) + sign * c
-                if v:
-                    s_terms[m] = v
-                else:
-                    s_terms.pop(m, None)
-        r = _reduce_terms(s_terms, divisors, keys, b)
+        shift_i, shift_j = _sub(L, lmG[i]), _sub(L, lmG[j])
+        s_poly = collect(ring, chain(
+            ((_mul_exp(e, shift_i), c) for e, c in G[i].terms.items()),
+            ((_mul_exp(e, shift_j), -c) for e, c in G[j].terms.items())))
+        r = _reduce_terms(s_poly.terms, divisors, keys, b)
         if r:
-            update(Polynomial(ring, r), next(iter(r)))
+            update(collect(ring, r.items()), next(iter(r)))
 
     # minimalise
     idx = sorted(range(len(G)), key=lambda k: keys[lmG[k]], reverse=True)
@@ -313,7 +308,7 @@ def buchberger(
     for k in minimal_idx:
         others = [(lmG[m], G[m].terms) for m in minimal_idx if m != k]
         r = _reduce_terms(G[k].terms, others, keys, b)
-        reduced.append((lmG[k], Polynomial(ring, r)))
+        reduced.append((lmG[k], collect(ring, r.items())))
     reduced.sort(key=lambda t: keys[t[0]])
     return GroebnerBasis(tuple(g for _, g in reduced), order, True)
 
@@ -467,13 +462,10 @@ def coefficients_in(p: Polynomial, name: str) -> List[Polynomial]:
     d = p.degree_in(name)
     if d < 0:
         return []
-    buckets: List[Dict[Exponent, Fraction]] = [dict() for _ in range(d + 1)]
+    buckets: List[list] = [[] for _ in range(d + 1)]
     for e, c in p.terms.items():
-        k = e[i]
-        e2 = list(e)
-        e2[i] = 0
-        buckets[k][tuple(e2)] = c
-    return [Polynomial(p.ring, b) for b in buckets]
+        buckets[e[i]].append((e[:i] + (0,) + e[i + 1:], c))
+    return [collect(p.ring, b) for b in buckets]
 
 
 def _det_bareiss(M: List[List[Polynomial]], ring: WeightedRing) -> Polynomial:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
@@ -58,28 +60,26 @@ class WeightedRing:
         return sum(e * w for e, w in zip(exp, self.weights))
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._of(self, {})
 
     def one(self) -> "Polynomial":
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
         c = Fraction(c)
-        if c == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial._of(self, {(0,) * self.nvars: c} if c else {})
 
     def var(self, name: str) -> "Polynomial":
         exp = [0] * self.nvars
         exp[self.index(name)] = 1
-        return Polynomial(self, {tuple(exp): Fraction(1)})
+        return Polynomial._of(self, {tuple(exp): Fraction(1)})
 
     def monomial(self, exp: Iterable[int], coeff=1) -> "Polynomial":
         exp = tuple(int(e) for e in exp)
         if len(exp) != self.nvars or any(e < 0 for e in exp):
             raise PolynomialError("bad exponent vector")
         c = Fraction(coeff)
-        return Polynomial(self, {exp: c} if c != 0 else {})
+        return Polynomial._of(self, {exp: c} if c else {})
 
 
 def revlex_key(exp: Exponent) -> Tuple[int, ...]:
@@ -92,6 +92,8 @@ class Polynomial:
 
     Supports +, -, *, ** with other polynomials of the same ring and
     with int/Fraction scalars.  Equality is exact equality of term maps.
+    The constructor validates its input; arithmetic builds its results
+    through `collect` and `_of`, which do not validate them again.
     """
 
     __slots__ = ("ring", "terms")
@@ -107,6 +109,14 @@ class Polynomial:
             clean[tuple(e)] = c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, ring: WeightedRing, terms: Dict[Exponent, Fraction]) -> "Polynomial":
+        """Trusted constructor: keeps `terms` (nonzero Fractions, valid exponents) uncopied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -124,9 +134,6 @@ class Polynomial:
 
     def coeff(self, exp: Exponent) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
-
-    def constant_coeff(self) -> Fraction:
-        return self.coeff((0,) * self.ring.nvars)
 
     def variables_used(self) -> Tuple[str, ...]:
         used = [False] * self.ring.nvars
@@ -198,20 +205,13 @@ class Polynomial:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return collect(self.ring, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -231,18 +231,9 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return self.ring.zero()
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return collect(self.ring, ((tuple(map(add, e1, e2)), c1 * c2)
+                                   for e1, c1 in self.terms.items()
+                                   for e2, c2 in other.terms.items()))
 
     __rmul__ = __mul__
 
@@ -262,23 +253,14 @@ class Polynomial:
         c = Fraction(c)
         if c == 0:
             return self.ring.zero()
-        return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
+        return Polynomial._of(self.ring, {e: c * v for e, v in self.terms.items()})
 
     # -- calculus and substitution --------------------------------------
 
     def differentiate(self, name: str) -> "Polynomial":
         i = self.ring.index(name)
-        out: Dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            e2 = tuple(e2)
-            s = out.get(e2, 0) + c * e[i]
-            if s:
-                out[e2] = s
-        return Polynomial(self.ring, out)
+        return collect(self.ring, ((e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+                                   for e, c in self.terms.items() if e[i]))
 
     def substitute(self, assignment: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution; images must share one target ring.
@@ -299,20 +281,18 @@ class Polynomial:
             if not isinstance(img, Polynomial):
                 img = target.const(img)
             images[self.ring.index(n)] = img
-        result = target.zero()
         # cache powers per variable to keep repeated exponents cheap
         powcache: Dict[Tuple[int, int], Polynomial] = {}
+        terms = []
         for e, c in self.terms.items():
             term = target.const(c)
             for i, k in enumerate(e):
-                if k == 0 or i not in images:
-                    continue
-                key = (i, k)
-                if key not in powcache:
-                    powcache[key] = images[i] ** k
-                term = term * powcache[key]
-            result = result + term
-        return result
+                if k:
+                    if (i, k) not in powcache:
+                        powcache[i, k] = images[i] ** k
+                    term = term * powcache[i, k]
+            terms.extend(term.terms.items())
+        return collect(target, terms)
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at a rational point; every used variable needs a value."""
@@ -356,6 +336,20 @@ class Polynomial:
         return s.replace("+ -", "- ")
 
 
+def collect(ring: WeightedRing, pairs: Iterable[Tuple[Exponent, Fraction]]) -> Polynomial:
+    """Sum (exponent, coefficient) pairs into a polynomial, dropping zeros.
+
+    Trusted: exponents must be nonnegative int tuples of the ring's
+    length and coefficients Fractions; neither is checked.
+    """
+    out: Dict[Exponent, Fraction] = {}
+    get = out.get
+    for e, c in pairs:
+        prev = get(e)
+        out[e] = c if prev is None else prev + c
+    return Polynomial._of(ring, {e: c for e, c in out.items() if c})
+
+
 def weighted_exponents(weights: Sequence[int], degree: int) -> List[Exponent]:
     """All exponent vectors of the given weighted degree, in lexicographic order."""
     partial = [((), degree)]
@@ -394,7 +388,7 @@ def rename_into(p: Polynomial, ring: WeightedRing) -> Polynomial:
                     f"variable {p.ring.names[i]!r} does not exist in target ring")
             out[pos[i]] = k
         terms[tuple(out)] = c
-    return Polynomial(ring, terms)
+    return Polynomial._of(ring, terms)
 
 
 # -- JSON form --------------------------------------------------------------

@@ -22,7 +22,7 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .poly import Polynomial, WeightedRing, scalar_ratio, to_json, weighted_exponents
+from .poly import Polynomial, WeightedRing, collect, scalar_ratio, to_json, weighted_exponents
 
 GEOM_VARS = ("z1", "x1", "y1", "z2", "x2", "y2")
 FACTOR1_WEIGHTS = (1, 2, 3, 0, 0, 0)
@@ -96,6 +96,8 @@ class Context:
         self._rhs_terms: Dict[Tuple[int, int], Dict[tuple, Fraction]] = {}
         self.iy1 = R.index("y1")
         self.iy2 = R.index("y2")
+        # t_generators, s_elements and s_generators, built on first use
+        self._t = self._s = self._identities = None
 
     # -- normal form -----------------------------------------------------
 
@@ -108,7 +110,7 @@ class Context:
         if p.ring != self.ring:
             raise S2EError("polynomial from a different context")
         iy1, iy2 = self.iy1, self.iy2
-        out: Dict[tuple, Fraction] = {}
+        pairs = []
         for e, c in p.terms.items():
             k1, r1 = divmod(e[iy1], 2)
             k2, r2 = divmod(e[iy2], 2)
@@ -118,21 +120,15 @@ class Context:
             rhs = self._rhs_terms.get((k1, k2))
             if rhs is None:
                 rhs = self._rhs_terms[k1, k2] = (self.rhs1 ** k1 * self.rhs2 ** k2).terms
-            for d_e, d in rhs.items():
-                m = tuple(map(add, base, d_e))
-                out[m] = out.get(m, 0) + c * d
-        return Polynomial(self.ring, out)
+            pairs.extend((tuple(map(add, base, d_e)), c * d) for d_e, d in rhs.items())
+        return collect(self.ring, pairs)
 
     def nf_mul(self, p: Polynomial, q: Polynomial) -> Polynomial:
         return self.normal_form(p * q)
 
     def swap_factors(self, p: Polynomial) -> Polynomial:
         """The involution sigma exchanging the two elliptic-curve factors."""
-        terms = {}
-        for e, c in p.terms.items():
-            e2 = (e[3], e[4], e[5], e[0], e[1], e[2]) + tuple(e[6:])
-            terms[e2] = c
-        return Polynomial(self.ring, terms)
+        return collect(self.ring, ((e[3:6] + e[:3] + e[6:], c) for e, c in p.terms.items()))
 
     def bidegree(self, p: Polynomial):
         """Per-factor weighted degrees (d1, d2); parameters count zero."""
@@ -150,6 +146,8 @@ class Context:
 
     def t_generators(self) -> Tuple[Polynomial, ...]:
         """The seven invariant generators t0..t6 of the section ring."""
+        if self._t is not None:
+            return self._t
         R = self.ring
         z1, x1, y1 = R.var("z1"), R.var("x1"), R.var("y1")
         z2, x2, y2 = R.var("z2"), R.var("x2"), R.var("y2")
@@ -160,7 +158,8 @@ class Context:
         t4 = z1 * x1 * y2 + y1 * z2 * x2
         t5 = z1 ** 3 * y2 + y1 * z2 ** 3
         t6 = z1 * y1 * x2 ** 2 + x1 ** 2 * z2 * y2
-        return (t0, t1, t2, t3, t4, t5, t6)
+        self._t = (t0, t1, t2, t3, t4, t5, t6)
+        return self._t
 
     def s_elements(self) -> dict:
         """s0..s4 and the two degree-4 conductor elements l1, l2.
@@ -172,10 +171,13 @@ class Context:
         checked in s_generators.  (Swapping the roles of t1 and t2 in
         every formula below produces a second family that satisfies the
         same two identities but fails the vanishing requirement; the
-        convention here is the geometrically consistent one.)
+        convention here is the geometrically consistent one.)  Built
+        once per context; every call returns a fresh dict.
         """
         if self.alpha is None:
             raise S2EError("gluing parameters required")
+        if self._s is not None:
+            return dict(self._s)
         t0, t1, t2, t3, t4, t5, _ = self.t_generators()
         a, b = self.params.a, self.params.b
         al, be = self.alpha, self.beta
@@ -192,8 +194,9 @@ class Context:
             - al * t1 * t2 - al * t0 * t3
         l2 = be * b * t0 ** 4 + al * a * t0 ** 2 * t1 + al * b * t0 ** 2 * t2 \
             - al * t1 ** 2 - be * t1 * t2 + be * t0 * t3
-        return {"s0": s0, "s1": s1, "s2": s2, "s3": s3, "s4": s4,
-                "l1": l1, "l2": l2}
+        self._s = {"s0": s0, "s1": s1, "s2": s2, "s3": s3, "s4": s4,
+                   "l1": l1, "l2": l2}
+        return dict(self._s)
 
 
 # -- single-factor monomial basis --------------------------------------------
@@ -265,21 +268,14 @@ def antidiagonal_kernel(ctx: Context, m: int) -> List[Polynomial]:
 def _combine(ctx: Context, coeffs: Sequence[Fraction],
              basis: Sequence[Polynomial]) -> Polynomial:
     """The linear combination sum(c * p) of basis elements."""
-    terms: Dict[tuple, Fraction] = {}
-    for c, p in zip(coeffs, basis):
-        for e, v in p.terms.items():
-            terms[e] = terms.get(e, 0) + c * v
-    return Polynomial(ctx.ring, terms)
+    return collect(ctx.ring, ((e, c * v) for c, p in zip(coeffs, basis) if c
+                              for e, v in p.terms.items()))
 
 
 def _restrict_antidiagonal(ctx: Context, p: Polynomial) -> Polynomial:
-    R = ctx.ring
-    terms: Dict[tuple, Fraction] = {}
-    for e, c in p.terms.items():
-        sign = -1 if e[5] % 2 else 1
-        e2 = (e[0] + e[3], e[1] + e[4], e[2] + e[5], 0, 0, 0) + tuple(e[6:])
-        terms[e2] = terms.get(e2, Fraction(0)) + sign * c
-    folded = Polynomial(R, terms)
+    folded = collect(ctx.ring, (
+        ((e[0] + e[3], e[1] + e[4], e[2] + e[5], 0, 0, 0) + e[6:], -c if e[5] % 2 else c)
+        for e, c in p.terms.items()))
     return ctx.normal_form(folded)
 
 
@@ -332,7 +328,10 @@ def s_generators(ctx: Context) -> dict:
     multiple of t0*s4 (the scalar is solved for; it comes out 0).
     Identity II: s1*s2 + b*alpha^2*l1 + (a*alpha^2+beta^2)*l2 = t0*s3.
     Both are verified in normal form; failure raises IdentityError.
+    Checked once per context; every call returns a fresh dict.
     """
+    if ctx._identities is not None:
+        return dict(ctx._identities)
     els = ctx.s_elements()
     t0 = ctx.t_generators()[0]
     a, b = ctx.params.a, ctx.params.b
@@ -354,7 +353,8 @@ def s_generators(ctx: Context) -> dict:
     els["identity1_scalar"] = scalar
     els["identity1_ok"] = True
     els["identity2_ok"] = True
-    return els
+    ctx._identities = els
+    return dict(els)
 
 
 # -- theorem relations ---------------------------------------------------------

@@ -179,3 +179,39 @@ def test_unknown_glue_config_is_a_usage_error(capsys):
     assert dispatch(["glue", "--config", "nosuch"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: unknown config 'nosuch'") and len(err.splitlines()) == 1
+
+
+def test_canring_fiber_validates_once(monkeypatch, capsys):
+    from stratabench import canring
+    calls = []
+    gcd = canring.poly_gcd
+    monkeypatch.setattr(canring, "poly_gcd", lambda f, g: calls.append(1) or gcd(f, g))
+    for argv in (["canring", "--fiber", "1:1:1"], ["canring", "--selftest"]):
+        calls.clear()
+        assert dispatch(argv) == 0
+        assert len(calls) == 1, argv
+    capsys.readouterr()
+
+
+def test_one_parser_gives_the_reports_of_fresh_parsers(monkeypatch, capsys):
+    import stratabench.cli as cli
+    argvs = [["hilbert", "--upto", "5"], ["catalog"], ["hilbert"],
+             ["canring", "--fiber", "0:1:1"], ["bidouble", "--example", "Z4"],
+             ["s2e", "--symbolic", "--a=-2/3"], ["glue", "--config", "two-conics"],
+             ["hilbert", "--rr", "1,2,1"], ["canring"]]
+
+    def reports():
+        out = []
+        for argv in argvs:
+            code = dispatch(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    cli._parser.cache_clear()
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    shared = reports()
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "_parser", build)
+    assert shared == reports()

@@ -2,7 +2,8 @@
 
 A private name starts with one underscore.  The check parses every
 module under src/stratabench and flags `from .m import _x` as well as
-`m._x` where `m` is bound to a sibling module.
+`m._x` where `m` is bound to a sibling module or to a name imported
+from one (`Polynomial._of` outside `poly`).
 """
 
 import ast
@@ -24,22 +25,21 @@ def _sibling(node: ast.ImportFrom) -> bool:
 
 def violations(source: str):
     tree = ast.parse(source)
-    modules = set()
+    imported = set()
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and _sibling(node):
             for alias in node.names:
                 if _private(alias.name):
                     found.append(f"line {node.lineno}: imports {alias.name}")
-                if node.module in (None, "stratabench"):
-                    modules.add(alias.asname or alias.name)
+                imported.add(alias.asname or alias.name)
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("stratabench.") and alias.asname:
-                    modules.add(alias.asname)
+                    imported.add(alias.asname)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in modules and _private(node.attr)):
+                and node.value.id in imported and _private(node.attr)):
             found.append(f"line {node.lineno}: uses {node.value.id}.{node.attr}")
     return found
 
@@ -53,7 +53,11 @@ def test_checker_flags_offenders():
     source = ("from .bidouble import PLANE, _localize\n"
               "from . import bidouble, poly as polymod\n"
               "import stratabench.s2e as s\n"
+              "from .poly import Polynomial as P\n"
               "def f():\n"
-              "    return bidouble._KNOWN, polymod._x, s._y, bidouble.PLANE, self._z\n")
-    assert violations(source) == ["line 1: imports _localize", "line 5: uses bidouble._KNOWN",
-                                  "line 5: uses polymod._x", "line 5: uses s._y"]
+              "    return bidouble._KNOWN, polymod._x, s._y, bidouble.PLANE, self._z\n"
+              "def g(r):\n"
+              "    return PLANE._w, P._of(r, {}), P.__name__\n")
+    assert violations(source) == ["line 1: imports _localize", "line 6: uses bidouble._KNOWN",
+                                  "line 6: uses polymod._x", "line 6: uses s._y",
+                                  "line 8: uses PLANE._w", "line 8: uses P._of"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratabench import poly
+from stratabench import poly, s2e
 from stratabench.poly import Polynomial, PolynomialError, WeightedRing
 
 R5 = WeightedRing(("x", "y1", "y2", "z1", "z2"), (1, 2, 2, 3, 3))
@@ -152,3 +152,38 @@ def test_immutability():
     u = R2.var("u")
     with pytest.raises(AttributeError):
         u.terms = {}
+
+
+def _assert_clean(r, ring):
+    """r holds only nonzero Fractions on exponent tuples that fit `ring`."""
+    assert r.ring == ring
+    for e, c in r.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(e) is tuple and len(e) == ring.nvars
+        assert all(type(k) is int and k >= 0 for k in e)
+    assert Polynomial(ring, r.terms).terms == r.terms
+
+
+R3 = WeightedRing(("v", "w", "u"), (1, 2, 1))
+S2E_CTX = s2e.Context(s2e.WeierstrassParams(Fraction(-1), Fraction(2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_poly(R2, max_exp=3, max_terms=5), random_poly(R2, max_exp=3, max_terms=5),
+       small_coeff, st.integers(0, 3), random_poly(s2e.NUMERIC_RING, max_exp=3, max_terms=4))
+def test_arithmetic_results_hold_clean_terms(p, q, c, n, f):
+    images = {"u": R3.var("w") - R3.var("v"), "v": R3.var("u") * R3.var("v") + 1}
+    for r in (p + q, p + 2, p - q, p - p, 3 - p, p * q, p * 0, p ** n, -p, p.scale(c),
+              p.differentiate("u"), p.substitute({"u": 0, "v": c})):
+        _assert_clean(r, R2)
+    _assert_clean(p.substitute(images), R3)
+    _assert_clean(poly.rename_into(p, R3), R3)
+    _assert_clean(S2E_CTX.normal_form(f), s2e.NUMERIC_RING)
+
+
+def test_collect_sums_and_drops_zeros():
+    one, two = Fraction(1), Fraction(2)
+    r = poly.collect(R2, [((1, 0), one), ((0, 1), two), ((1, 0), -one), ((0, 1), one),
+                          ((2, 2), Fraction(0))])
+    assert r.terms == {(0, 1): Fraction(3)}
+    assert poly.collect(R2, []) == R2.zero()

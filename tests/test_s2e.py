@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratabench import groebner, linalg
-from stratabench.s2e import (Context, GluingParams, S2EError,
+from stratabench.s2e import (Context, GluingParams, IdentityError, S2EError,
                              WeierstrassParams, antidiagonal_kernel,
                              conductor_vanishing_basis, factor_basis,
                              generation_check, invariant_basis, s_generators,
@@ -293,3 +293,40 @@ def test_enumeration_deterministic():
     a = [o.to_json() for o in enumerate_gluings(config, sym)]
     b = [o.to_json() for o in enumerate_gluings(config, sym)]
     assert _json.dumps(a, sort_keys=True) == _json.dumps(b, sort_keys=True)
+
+
+def test_pipeline_builds_generators_once(monkeypatch):
+    # a rebuild hands out new Polynomial objects, so distinct ids count builds
+    from stratabench import s2e
+    seen = {"t": [], "s": [], "identities": []}
+    t_gens, s_els, s_gens = Context.t_generators, Context.s_elements, s2e.s_generators
+
+    def record(kind, value, probe):
+        seen[kind].append(probe(value))
+        return value
+
+    monkeypatch.setattr(Context, "t_generators",
+                        lambda self: record("t", t_gens(self), lambda t: t))
+    monkeypatch.setattr(Context, "s_elements",
+                        lambda self: record("s", s_els(self), lambda d: d["s4"]))
+    monkeypatch.setattr(s2e, "s_generators",
+                        lambda ctx: record("identities", s_gens(ctx),
+                                           lambda d: d["identity1_scalar"]))
+    s2e.pipeline_report(P11, G11)
+    assert {k: len({id(v) for v in vs}) for k, vs in seen.items()} == {
+        "t": 1, "s": 1, "identities": 1}
+    assert len(seen["identities"]) == 2
+
+
+def test_failed_identity_raises_on_every_call():
+    class Broken(Context):
+        def s_elements(self):
+            els = super().s_elements()
+            els["s3"] = els["s3"] + els["s0"] ** 3
+            return els
+
+    ctx = Broken(P11, G11)
+    for _ in range(2):
+        with pytest.raises(IdentityError, match="identity II"):
+            verify_theorem_relations(ctx)
+    assert s_generators(Context(P11, G11))["identity2_ok"]
