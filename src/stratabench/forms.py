@@ -5,7 +5,7 @@ of Fraction coefficients [c_0, ..., c_d] from the constant term up; the
 binary form reads sum c_i s^i t^(d-i).  Trailing zeros of a form are
 roots at infinity (t = 0).  These are the exact primitives the model
 checks share: gcd, distinct roots, squarefreeness, the Sylvester
-matrix and the resultant.
+matrix, the determinant and the resultant.
 
 The local half moves a point of the projective plane to the origin of
 an affine chart and reads off vanishing orders and initial forms there.
@@ -14,7 +14,8 @@ an affine chart and reads off vanishing orders and initial forms there.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence
+from operator import truediv
+from typing import Callable, Dict, List, Sequence
 
 from .poly import Polynomial, PolynomialError, WeightedRing
 
@@ -88,27 +89,37 @@ def sylvester(cf: Sequence, cg: Sequence, zero) -> List[list]:
     return M
 
 
+def determinant(M: Sequence[Sequence], zero, one, divide: Callable):
+    """Determinant by Bareiss fraction-free elimination.
+
+    Entries may be scalars or polynomials.  Every division Bareiss makes
+    is exact, and `divide(a, b)` returns that exact quotient a / b.
+    """
+    A = [list(row) for row in M]
+    n = len(A)
+    sign, prev = 1, one
+    for k in range(n - 1):
+        if not A[k][k]:
+            pivot = next((r for r in range(k + 1, n) if A[r][k]), None)
+            if pivot is None:
+                return zero
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = A[k][k] * A[i][j] - A[i][k] * A[k][j]
+                A[i][j] = divide(num, prev) if num else zero
+        prev = A[k][k]
+    det = A[n - 1][n - 1] if n else one
+    return det if sign == 1 else -det
+
+
 def resultant(cf: Sequence[Fraction], cg: Sequence[Fraction]) -> Fraction:
     """Resultant of two binary forms given by formal coefficient lists.
 
     It vanishes exactly when the forms share a projective root.
     """
-    M = sylvester(cf, cg, Fraction(0))
-    det = Fraction(1)
-    for k in range(len(M)):
-        pivot = next((r for r in range(k, len(M)) if M[r][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            M[k], M[pivot] = M[pivot], M[k]
-            det = -det
-        det *= M[k][k]
-        inv = 1 / M[k][k]
-        for r in range(k + 1, len(M)):
-            if M[r][k] != 0:
-                factor = M[r][k] * inv
-                M[r] = [a - factor * b for a, b in zip(M[r], M[k])]
-    return det
+    return determinant(sylvester(cf, cg, Fraction(0)), Fraction(0), Fraction(1), truediv)
 
 
 # -- local plane geometry ----------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 from math import comb, factorial, prod
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterator, List, Optional,
@@ -73,15 +74,20 @@ class MarkedConfig:
     def component_of(self) -> Dict[str, int]:
         return {m: i for i, (_, marks) in enumerate(self.components) for m in marks}
 
-    def _names(self) -> Tuple[str, ...]:
-        """The name of every node, parallel to the matching."""
-        if self.node_names is not None:
-            return self.node_names
-        return tuple("~".join(sorted(pair)) for pair in self.matching)
+    @cached_property
+    def _nodes(self) -> Dict[str, Tuple[str, str]]:
+        """Every mark's (mate, name of the node the two form)."""
+        names = self.node_names or tuple("~".join(sorted(p)) for p in self.matching)
+        nodes = {}
+        for name, (a, b) in zip(names, self.matching):
+            nodes[a], nodes[b] = (b, name), (a, name)
+        return nodes
 
     def node_name(self, pair: FrozenSet[str]) -> str:
-        for name, (a, b) in zip(self._names(), self.matching):
-            if frozenset((a, b)) == pair:
+        if len(pair) == 2:
+            a, b = pair
+            mate, name = self._nodes.get(a, (a, None))
+            if mate == b:
                 return name
         raise GluingError("not a matching pair")
 
@@ -203,24 +209,21 @@ def cusp_classes(config: MarkedConfig, inv: GluingInvolution) -> CuspPartition:
     involutions of the marks, so each class is one cycle alternating
     between them; walking it from any mark lists the nodes it crosses.
     """
-    mate = {}
-    node_of = {}   # mark -> name of the node it lies over
-    for name, (a, b) in zip(config._names(), config.matching):
-        mate[a], mate[b] = b, a
-        node_of[a] = node_of[b] = name
+    nodes = config._nodes
     md = inv.mark_dict()
     seen = set()
     classes = []
     for start, _ in config.matching:
         if start in seen:
             continue
-        nodes = []
+        names = []
         m = start
         while m not in seen:
-            seen.update((m, mate[m]))
-            nodes.append(node_of[m])
-            m = md[mate[m]]
-        classes.append(tuple(sorted(nodes)))
+            mate, name = nodes[m]
+            seen.update((m, mate))
+            names.append(name)
+            m = md[mate]
+        classes.append(tuple(sorted(names)))
     return CuspPartition(tuple(sorted(classes)))
 
 
@@ -233,8 +236,8 @@ def chi_check(config: MarkedConfig, inv: GluingInvolution) -> dict:
     rho = inv.rho()
     mu1 = partition.mu1
     chi_bar = config.chi_bar()
-    chi_D = Fraction(chi_bar - mu_bar, 2) + Fraction(rho, 4) + mu1
-    holds = Fraction(mu_bar) == Fraction(rho, 2) + 2 * mu1
+    chi_D = Fraction(2 * (chi_bar - mu_bar) + rho + 4 * mu1, 4)
+    holds = 2 * mu_bar == rho + 4 * mu1
     return {
         "mu_bar": mu_bar, "rho": rho, "mu1": mu1,
         "chi_bar": chi_bar, "chi_D": chi_D, "holds": holds,
@@ -250,12 +253,10 @@ def etale_descent_excluded(config: MarkedConfig, inv: GluingInvolution) -> bool:
     if inv.rho() != 0:
         return False
     md = inv.mark_dict()
-    pairs = {frozenset(p) for p in config.matching}
-    for p in pairs:
-        image = frozenset(md[m] for m in p)
-        if image not in pairs:
+    for a, b in config.matching:
+        if config._nodes[md[a]][0] != md[b]:
             return False  # does not descend at all
-        if image == p:
+        if md[a] in (a, b):
             return False  # descends, but fixes this node
     return True
 
@@ -289,10 +290,8 @@ def _check_symmetry(config: MarkedConfig, g: ConfigSymmetry):
             raise GluingError("mark_perm incompatible with component_perm")
         if config.components[comp_of[m]][0] != config.components[comp_of[im]][0]:
             raise GluingError("symmetry must preserve genus")
-    pairs = {frozenset(p) for p in config.matching}
-    for p in pairs:
-        if frozenset(md[m] for m in p) not in pairs:
-            raise GluingError("symmetry must preserve the matching")
+    if any(config._nodes[md[a]][0] != md[b] for a, b in config.matching):
+        raise GluingError("symmetry must preserve the matching")
 
 
 def _compose(g: ConfigSymmetry, h: ConfigSymmetry) -> ConfigSymmetry:

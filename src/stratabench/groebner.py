@@ -35,7 +35,7 @@ from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import BudgetExceeded, step_budget
-from .forms import sylvester
+from .forms import determinant, sylvester
 from .poly import (Exponent, Polynomial, PolynomialError, WeightedRing, collect,
                    rename_into, revlex_key)
 
@@ -125,16 +125,17 @@ def _mul_exp(a: Exponent, b: Exponent) -> Exponent:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("stage", "steps", "left")
 
-    def __init__(self, steps: int):
-        self.left = steps
+    def __init__(self, stage: str, steps: int):
+        self.stage, self.steps, self.left = stage, steps, steps
 
     def spend(self, n: int = 1):
         self.left -= n
         if self.left < 0:
             raise BudgetExceeded(
-                "step budget exhausted; raise STRATABENCH_STEP_BUDGET if intended")
+                f"{self.stage}: spent the step budget of {self.steps}; "
+                f"raise STRATABENCH_STEP_BUDGET if intended")
 
 
 def _reduce_terms(
@@ -202,7 +203,7 @@ def normal_form(
     ring = p.ring
     if any(g.ring != ring for g in gens):
         raise PolynomialError("mixed rings")
-    b = _Budget(step_budget(budget))
+    b = _Budget("normal_form", step_budget(budget))
     keys = _Keys(order, ring.weights)
     divisors = []
     for g in gens:
@@ -240,7 +241,7 @@ def buchberger(
     if any(g.ring != ring for g in gens):
         raise PolynomialError("mixed rings")
     w = ring.weights
-    b = _Budget(step_budget(budget))
+    b = _Budget("buchberger", step_budget(budget))
     keys = _Keys(order, w)
 
     G: List[Polynomial] = []
@@ -468,33 +469,6 @@ def coefficients_in(p: Polynomial, name: str) -> List[Polynomial]:
     return [collect(p.ring, b) for b in buckets]
 
 
-def _det_bareiss(M: List[List[Polynomial]], ring: WeightedRing) -> Polynomial:
-    """Fraction-free determinant over the polynomial ring."""
-    n = len(M)
-    if n == 0:
-        return ring.one()
-    A = [row[:] for row in M]
-    sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        if A[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not A[r][k].is_zero():
-                    A[k], A[r] = A[r], A[k]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = A[k][k] * A[i][j] - A[i][k] * A[k][j]
-                A[i][j] = exact_divide(num, prev) if not num.is_zero() else ring.zero()
-            A[i][k] = ring.zero()
-        prev = A[k][k]
-    det = A[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def resultant(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
     """Sylvester resultant of f and g with respect to one variable."""
     if f.ring != g.ring:
@@ -504,4 +478,5 @@ def resultant(f: Polynomial, g: Polynomial, name: str) -> Polynomial:
     m, n = len(cf) - 1, len(cg) - 1
     if m < 1 or n < 1:
         raise PolynomialError(f"both inputs need positive degree in {name!r}")
-    return _det_bareiss(sylvester(cf, cg, f.ring.zero()), f.ring)
+    zero = f.ring.zero()
+    return determinant(sylvester(cf, cg, zero), zero, f.ring.one(), exact_divide)

@@ -27,10 +27,12 @@ def rref(M: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
         A[r], A[pivot] = A[pivot], A[r]
         inv = 1 / A[r][c]
         A[r] = [x * inv for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
+        nonzero = [(j, y) for j, y in enumerate(A[r]) if y]
+        for i, row in enumerate(A):
+            f = row[c]
+            if i != r and f:
+                for j, y in nonzero:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
         if r == rows:

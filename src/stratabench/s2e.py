@@ -363,17 +363,17 @@ def s_generators(ctx: Context) -> dict:
 # as maps (exponents of x,y1,y2) -> polynomial in a, b, alpha, beta
 
 
-def _b1_poly(R: WeightedRing, X, Y1, Y2, a: Fraction, b: Fraction) -> Polynomial:
+def _b1_poly(X, Y1, Y2, a: Fraction, b: Fraction) -> Polynomial:
     return -(X ** 6 * b * b + X ** 4 * Y1 * a * b + Y1 ** 3 * b + X ** 4 * Y2 * a * a
              - X ** 2 * Y1 * Y2 * (3 * b) + Y1 ** 2 * Y2 * a - X ** 2 * Y2 ** 2 * (2 * a)
              + Y2 ** 3)
 
 
-def _a2_poly(R, X, Y1, Y2, al, be) -> Polynomial:
+def _a2_poly(X, Y1, Y2, al, be) -> Polynomial:
     return -(X ** 2 * be * be * 2 + Y1 * al * be * 2 + Y2 * al * al * 2)
 
 
-def _b2_poly(R, X, Y1, Y2, a, b, al, be) -> Polynomial:
+def _b2_poly(X, Y1, Y2, a, b, al, be) -> Polynomial:
     return -(X ** 6 * be * be * (2 * b)
              + X ** 4 * Y1 * (al * be * (2 * b) + be * be * a)
              + X ** 2 * Y1 ** 2 * (al * al * b)
@@ -433,7 +433,7 @@ def verify_theorem_relations(ctx: Context) -> dict:
 
 def _try_assignment(ctx, X, Y1, Y2, Z1, Z2, a, b, al, be) -> dict:
     nf = ctx.normal_form
-    b1 = nf(_b1_poly(ctx.ring, X, Y1, Y2, a, b))
+    b1 = nf(_b1_poly(X, Y1, Y2, a, b))
     z1sq = nf(Z1 * Z1)
     # r1: lam2 * z1^2 + b1 = 0
     lam2 = scalar_ratio(-b1, z1sq)
@@ -441,8 +441,8 @@ def _try_assignment(ctx, X, Y1, Y2, Z1, Z2, a, b, al, be) -> dict:
         return {"success": False, "reason": "no z1-rescaling solves r1",
                 "lambda2": None, "mu2": None, "lambda": None}
     # r2: mu2 * z2^2 + lam * (x*z1*a2) + b2 = 0, linear in (mu2, lam)
-    a2 = nf(_a2_poly(ctx.ring, X, Y1, Y2, al, be))
-    b2 = nf(_b2_poly(ctx.ring, X, Y1, Y2, a, b, al, be))
+    a2 = nf(_a2_poly(X, Y1, Y2, al, be))
+    b2 = nf(_b2_poly(X, Y1, Y2, a, b, al, be))
     z2sq = nf(Z2 * Z2)
     cross = nf(X * Z1 * a2)
     M, _ = _coordinates([z2sq, cross, -b2])

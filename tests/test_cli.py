@@ -89,13 +89,15 @@ def test_bidouble_classify_cli():
 def test_step_budget_env(tmp_path, monkeypatch):
     import os
     env = dict(os.environ)
-    env["STRATABENCH_STEP_BUDGET"] = "2"
+    env["STRATABENCH_STEP_BUDGET"] = "100"
     out = subprocess.run(RUN + ["implicitize", "--a", "2", "--b", "3"],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 1
     assert "budget" in out.stderr.lower()
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("error: ") and len(out.stderr.splitlines()) == 1
+    # the message names the stage that tripped and the budget it spent
+    assert out.stderr.startswith("error: buchberger: spent the step budget of 100;")
 
 
 def test_identity_error_is_one_line(monkeypatch, capsys):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from stratabench.forms import (AFFINE, PLANE, distinct_roots, form_coeffs, gcd,
-                               initial_form, is_squarefree_form, localize, resultant,
+from stratabench.forms import (AFFINE, PLANE, determinant, distinct_roots, form_coeffs,
+                               gcd, initial_form, is_squarefree_form, localize, resultant,
                                sylvester, vanishing_order)
 
 F = Fraction
@@ -102,3 +102,20 @@ def test_against_sympy():
             det = sylvester_matrix(pf.as_expr(), pg.as_expr(), z).det()
             assert resultant(f, g) == F(str(det))
             assert (resultant(f, g) == 0) == (sp.gcd(pf, pg).degree() > 0)
+
+
+def test_determinant_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    from operator import truediv
+
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(0, 5)
+        # sparse entries force row swaps; a repeated row makes some singular
+        M = [[F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
+              for _ in range(n)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.25:
+            M[-1] = list(M[0])
+        expected = sp.Matrix(n, n, [sp.Rational(x.numerator, x.denominator)
+                                    for row in M for x in row]).det() if n else 1
+        assert determinant(M, F(0), F(1), truediv) == F(str(expected))

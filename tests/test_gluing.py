@@ -10,7 +10,8 @@ from stratabench.gluing import (ADMISSIBLE, EXCLUDED_ETALE,
                                 etale_descent_excluded, make_involution,
                                 minimum_nodes_check, quartic_case_table,
                                 rho_options, _candidate_count, _candidates,
-                                _canonical_key, _close_group, _conjugate)
+                                _canonical_key, _check_symmetry, _close_group,
+                                _conjugate, _relabel)
 
 
 def four_lines_involution(phi12, phi34):
@@ -311,3 +312,39 @@ def test_cusp_classes_match_a_closure():
                 classes.add(tuple(sorted(config.node_name(frozenset((m, mate[m])))
                                          for m in marks if m < mate[m])))
             assert cusp_classes(config, inv).classes == tuple(sorted(classes))
+
+
+BUILTINS = ("four-lines", "two-conics", "conic-two-lines", "cubic-line", "three-nodal")
+
+
+@pytest.mark.parametrize("config,symmetry,passing", [
+    *[(*builtin_config(name), count) for name, count in zip(BUILTINS, (21, 17, 8, 0, 8))],
+    (random_config((4, 4), (0, 0), 4), (), 14),
+    (random_config((2, 2, 2, 2), (1, 1, 1, 1), 1), (), 27),
+])
+def test_orbit_sizes_sum_to_the_chi_passing_candidates(config, symmetry, passing):
+    # orbit-stabiliser: the orbits partition the chi-passing candidates
+    count = sum(chi_check(config, inv)["holds"] for inv in _candidates(config))
+    assert count == passing
+    assert sum(o.orbit_size for o in enumerate_gluings(config, symmetry)) == count
+
+
+def test_symmetry_must_preserve_the_matching():
+    config, _ = builtin_config("two-conics")
+    _check_symmetry(config, _relabel(config, (0, 1), ("A1", "A2"), ("B1", "B2")))
+    with pytest.raises(GluingError, match="symmetry must preserve the matching"):
+        _check_symmetry(config, _relabel(config, (0, 1), ("A1", "A2")))
+    with pytest.raises(GluingError, match="symmetry must preserve the matching"):
+        enumerate_gluings(config, [_relabel(config, (0, 1), ("B1", "B2", "B3"))])
+
+
+def test_node_name_refuses_a_pair_that_is_not_a_node():
+    config, _ = builtin_config("four-lines")
+    assert config.node_name(frozenset(("P21", "P12"))) == "P(12)"
+    unnamed = random_config((2, 2), (0, 0), 1)
+    for a, b in unnamed.matching:
+        assert unnamed.node_name(frozenset((b, a))) == "~".join(sorted((a, b)))
+    for pair in (("P12", "P13"), ("P12",), ("P12", "P21", "P13"), ("P12", "Q"),
+                 ("Q", "R"), ()):
+        with pytest.raises(GluingError, match="not a matching pair"):
+            config.node_name(frozenset(pair))

@@ -184,9 +184,11 @@ def test_resultant_vs_evaluation():
 
 def test_budget_exhaustion_raises():
     x, y, z = R3.var("x"), R3.var("y"), R3.var("z")
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="^buchberger: spent the step budget of 3;"):
         buchberger([x ** 3 - 2 * x * y + z, x * x * y - 2 * y * y + x,
                     x * z - y ** 2], budget=3)
+    with pytest.raises(BudgetExceeded, match="^normal_form: spent the step budget of 1;"):
+        normal_form(x ** 3, [x - y], budget=1)
 
 
 def test_determinism():

@@ -235,8 +235,7 @@ def test_theorem_relations_non_generic_rejected():
 def test_b1_sign_pattern():
     # b1 contains -y2^3
     R = WeightedRing(("x", "y1", "y2"), (1, 2, 2))
-    b1 = _b1_poly(R, R.var("x"), R.var("y1"), R.var("y2"),
-                  Fraction(1), Fraction(1))
+    b1 = _b1_poly(R.var("x"), R.var("y1"), R.var("y2"), Fraction(1), Fraction(1))
     assert b1.coeff((0, 0, 3)) == -1
 
 
