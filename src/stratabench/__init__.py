@@ -3,9 +3,9 @@ chi = 2: canonical-ring models, bi-double covers, fibration numerics,
 gluing combinatorics, quartic implicitization and the symmetric-square
 pipeline.
 
-The step budget bounds the Groebner engine and gluing enumeration.  It
-lives here so that gluing can consult it without depending on the
-Groebner engine.
+The step budget bounds the Groebner engine, the row updates of exact
+RREF and gluing enumeration.  It lives here so that linear algebra and
+gluing can consult it without depending on the Groebner engine.
 """
 
 import os
@@ -22,6 +22,22 @@ class BudgetExceeded(RuntimeError):
 
 class BudgetSettingError(ValueError):
     """STRATABENCH_STEP_BUDGET is not a non-negative integer."""
+
+
+class Budget:
+    """Steps left of one computation; `spend` raises once they run out."""
+
+    __slots__ = ("stage", "steps", "left")
+
+    def __init__(self, stage: str, steps: int):
+        self.stage, self.steps, self.left = stage, steps, steps
+
+    def spend(self, n: int = 1):
+        self.left -= n
+        if self.left < 0:
+            raise BudgetExceeded(
+                f"{self.stage}: spent the step budget of {self.steps}; "
+                f"raise STRATABENCH_STEP_BUDGET if intended")
 
 
 def step_budget(explicit: Optional[int] = None) -> int:

@@ -34,7 +34,7 @@ from itertools import chain
 from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import BudgetExceeded, step_budget
+from . import Budget, BudgetExceeded, step_budget
 from .forms import determinant, sylvester
 from .poly import (Exponent, Polynomial, PolynomialError, WeightedRing, collect,
                    rename_into, revlex_key)
@@ -124,25 +124,11 @@ def _mul_exp(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(add, a, b))
 
 
-class _Budget:
-    __slots__ = ("stage", "steps", "left")
-
-    def __init__(self, stage: str, steps: int):
-        self.stage, self.steps, self.left = stage, steps, steps
-
-    def spend(self, n: int = 1):
-        self.left -= n
-        if self.left < 0:
-            raise BudgetExceeded(
-                f"{self.stage}: spent the step budget of {self.steps}; "
-                f"raise STRATABENCH_STEP_BUDGET if intended")
-
-
 def _reduce_terms(
     terms: Dict[Exponent, Fraction],
     divisors: Sequence[Tuple[Exponent, Dict[Exponent, Fraction]]],
     keys: _Keys,
-    budget: _Budget,
+    budget: Budget,
 ) -> Dict[Exponent, Fraction]:
     """Full remainder of a term dict modulo monic divisors (lm, terms).
 
@@ -203,7 +189,7 @@ def normal_form(
     ring = p.ring
     if any(g.ring != ring for g in gens):
         raise PolynomialError("mixed rings")
-    b = _Budget("normal_form", step_budget(budget))
+    b = Budget("normal_form", step_budget(budget))
     keys = _Keys(order, ring.weights)
     divisors = []
     for g in gens:
@@ -241,7 +227,7 @@ def buchberger(
     if any(g.ring != ring for g in gens):
         raise PolynomialError("mixed rings")
     w = ring.weights
-    b = _Budget("buchberger", step_budget(budget))
+    b = Budget("buchberger", step_budget(budget))
     keys = _Keys(order, w)
 
     G: List[Polynomial] = []

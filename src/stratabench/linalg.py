@@ -3,41 +3,94 @@
 Matrices are lists of row lists.  Everything is deterministic: pivots
 are chosen left to right, kernels come out in the canonical RREF
 parametrisation.
+
+`rref` runs fraction-free Gauss-Jordan elimination over Z (in the
+spirit of Bareiss, Math. Comp. 1968).  Each row is a sparse dict
+{column: int} of its nonzero entries, cleared of denominators by their
+lcm.  A row update is row <- (p/g)*row - (f/g)*pivot_row with g =
+gcd(p, f), after which the row is divided by the gcd of its entries,
+so the integers stay small.  Only the final division by the pivot
+entries builds Fractions.  Every row update spends one step of the
+shared step budget, under the stage name "rref".
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from . import Budget, step_budget
 
 Matrix = List[List[Fraction]]
 
 
+def _integer_row(row: Sequence[Fraction]) -> Dict[int, int]:
+    """The nonzero entries of a rational row times the lcm of their
+    denominators, divided by the gcd of the results."""
+    pairs = []
+    for j, x in enumerate(row):
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        if x:
+            pairs.append((j, x.numerator, x.denominator))
+    den = lcm(*(d for _, _, d in pairs))
+    return _primitive({j: n * (den // d) for j, n, d in pairs})
+
+
+def _primitive(row: Dict[int, int]) -> Dict[int, int]:
+    """The row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
 def rref(M: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    A = [[Fraction(x) for x in row] for row in M]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    if any(len(row) != cols for row in M):
+        raise ValueError("matrix rows differ in length")
+    A = [_integer_row(row) for row in M]
+    budget = Budget("rref", step_budget())
     pivots: List[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if A[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if c in A[i]), None)
         if pivot is None:
             continue
         A[r], A[pivot] = A[pivot], A[r]
-        inv = 1 / A[r][c]
-        A[r] = [x * inv for x in A[r]]
-        nonzero = [(j, y) for j, y in enumerate(A[r]) if y]
+        prow = A[r]
+        p = prow[c]
         for i, row in enumerate(A):
-            f = row[c]
-            if i != r and f:
-                for j, y in nonzero:
-                    row[j] -= f * y
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            budget.spend()
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
+            for j, v in prow.items():
+                s = row.get(j, 0) - b * v
+                if s:
+                    row[j] = s
+                else:
+                    del row[j]
+            A[i] = _primitive(row)
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return A, pivots
+    zero = Fraction(0)
+    out = []
+    for i, row in enumerate(A):
+        dense = [zero] * cols
+        if i < r:
+            p = row[pivots[i]]
+            for j, v in row.items():
+                dense[j] = Fraction(v, p)
+        out.append(dense)
+    return out, pivots
 
 
 def rank(M: Sequence[Sequence[Fraction]]) -> int:

@@ -237,10 +237,11 @@ def _coordinates(polys: Sequence[Polynomial]):
     """Coefficient matrix of polynomials w.r.t. their joint monomial support.
 
     Returns (matrix, monomials); rows are indexed by monomials, columns
-    by the input polynomials.
+    by the input polynomials.  Absent monomials are the int 0, which
+    `linalg` reads without building a Fraction.
     """
     support = sorted(set().union(*[set(p.terms) for p in polys])) if polys else []
-    M = [[p.terms.get(mono, Fraction(0)) for p in polys] for mono in support]
+    M = [[p.terms.get(mono, 0) for p in polys] for mono in support]
     return M, support
 
 
@@ -469,19 +470,25 @@ def generation_check(ctx: Context, upto: int,
     if upto > 6:
         raise S2EError("upto must be at most 6")
     gens = list(generators) if generators is not None else list(ctx.t_generators())
+    # exponent vector -> normal form of that monomial in the generators;
+    # each product is a stored one of lower degree times one generator
+    products: Dict[tuple, Polynomial] = {}
     degs = []
-    for g in gens:
-        d = ctx.bidegree(ctx.normal_form(g))
+    for k, g in enumerate(gens):
+        p = ctx.normal_form(g)
+        d = ctx.bidegree(p)
         if d == "inhomogeneous" or d[0] != d[1]:
             raise S2EError("generators must have diagonal bidegree")
         degs.append(d[0])
+        products[tuple(int(i == k) for i in range(len(gens)))] = p
     for m in range(1, upto + 1):
         prods = []
         for exps in weighted_exponents(degs, m):
-            p = ctx.ring.one()
-            for g, e in zip(gens, exps):
-                for _ in range(e):
-                    p = ctx.nf_mul(p, g)
+            p = products.get(exps)
+            if p is None:
+                k = next(i for i, e in enumerate(exps) if e)
+                lower = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
+                p = products[exps] = ctx.nf_mul(products[lower], gens[k])
             prods.append(p)
         M, _ = _coordinates(prods) if prods else ([], [])
         if linalg.rank(M) != m * (m + 1) // 2:

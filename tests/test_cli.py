@@ -100,6 +100,18 @@ def test_step_budget_env(tmp_path, monkeypatch):
     assert out.stderr.startswith("error: buchberger: spent the step budget of 100;")
 
 
+def test_step_budget_caps_rref_in_s2e_verify():
+    import os
+    env = dict(os.environ, STRATABENCH_STEP_BUDGET="20")
+    out = subprocess.run(RUN + ["s2e", "verify", "--a", "2/3", "--b", "-5/7",
+                                "--alpha", "1", "--beta", "1"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert out.stderr.startswith("error: rref: spent the step budget of 20;")
+
+
 def test_identity_error_is_one_line(monkeypatch, capsys):
     from stratabench import s2e
 

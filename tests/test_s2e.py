@@ -329,3 +329,43 @@ def test_failed_identity_raises_on_every_call():
         with pytest.raises(IdentityError, match="identity II"):
             verify_theorem_relations(ctx)
     assert s_generators(Context(P11, G11))["identity2_ok"]
+
+
+P_PIN = WeierstrassParams(Fraction(2, 3), Fraction(-5, 7))
+
+
+def test_conductor_m5_rref_work_is_pinned(monkeypatch):
+    # The m = 5 conductor system of (2/3, -5/7, 1, 1), 63 x 30, takes exactly
+    # 130 rref row updates; a change of pivoting or elimination shows here.
+    from stratabench import BudgetExceeded
+    ctx = Context(P_PIN, G11)
+    t4, s4 = ctx.t_generators()[4], ctx.s_elements()["s4"]
+    basis = invariant_basis(ctx, 5)
+    M, _ = _coordinates([ctx.nf_mul(p, t4) for p in basis]
+                        + [ctx.nf_mul(p, -s4) for p in basis])
+    assert (len(M), len(M[0])) == (63, 30)
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "130")
+    _, pivots = linalg.rref(M)
+    assert pivots == list(range(16)) + [17, 18, 19, 20, 22, 23, 24, 26]
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "129")
+    with pytest.raises(BudgetExceeded, match="^rref: spent the step budget of 129;"):
+        linalg.rref(M)
+
+
+def test_pipeline_normal_form_calls_are_bounded(monkeypatch):
+    # generation_check builds each monomial product in t0..t6 once, from a
+    # stored product of lower degree: 64 normal forms for upto = 6, not 179
+    from stratabench import s2e
+    calls = []
+    normal_form = Context.normal_form
+
+    def counted(self, p):
+        calls.append(p)
+        return normal_form(self, p)
+
+    monkeypatch.setattr(Context, "normal_form", counted)
+    generation_check(Context(P_PIN, G11), 6)
+    assert len(calls) == 64
+    calls.clear()
+    s2e.pipeline_report(P_PIN, G11)
+    assert len(calls) <= 155
