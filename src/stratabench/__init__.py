@@ -9,7 +9,6 @@ gluing can consult it without depending on the Groebner engine.
 """
 
 import os
-from typing import Optional
 
 __version__ = "0.1.0"
 
@@ -40,9 +39,7 @@ class Budget:
                 f"raise STRATABENCH_STEP_BUDGET if intended")
 
 
-def step_budget(explicit: Optional[int] = None) -> int:
-    if explicit is not None:
-        return explicit
+def step_budget() -> int:
     env = os.environ.get("STRATABENCH_STEP_BUDGET")
     if not env:
         return DEFAULT_STEP_BUDGET

@@ -153,14 +153,18 @@ def validate_canring(model: CanonicalRingModel) -> CanRingValidation:
          on x = 0 the binary forms b1(0,y1,y2), b2(0,y1,y2) have no
          common projective zero (nonzero resultant), and on the
          z-locus x = y1 = y2 = 0 the relations force z1 = z2 = 0.
+
+    (iii) implies (ii), so the Groebner gcd runs only where (iii) fails.
+    If G = gcd(b1, b2) != 1, then G is weighted homogeneous of positive
+    degree.  Either x | G, and both b_i vanish on x = 0; or G(0,y1,y2)
+    is a nonconstant binary form dividing both cubics b_i|x=0, which
+    then share a root, so their resultant is 0.
     """
     f1, f2 = model.relations()
     shape_ok = f1.is_homogeneous(6) and f2.is_homogeneous(6)
 
     if model.b1.is_zero() or model.b2.is_zero():
         return CanRingValidation(shape_ok, False, False, "a b_i vanishes identically")
-    g = poly_gcd(model.b1, model.b2)
-    coprime_ok = g == CANONICAL_RING.one()
 
     # restrict to x = 0: b_i has degree 6, so its x-free terms are the
     # binary cubic sum c_i * y1^i * y2^(3-i)
@@ -173,6 +177,7 @@ def validate_canring(model: CanonicalRingModel) -> CanRingValidation:
         res = resultant(b1_0, b2_0)
         ambient_ok = res != 0
         detail = f"res(b1|x=0, b2|x=0) = {res}"
+    coprime_ok = ambient_ok or poly_gcd(model.b1, model.b2) == CANONICAL_RING.one()
     # z-locus: f1, f2 restricted to x=y1=y2=0 are z1^2 and z2^2, which
     # only vanish at the irrelevant point; holds for every model shape.
     return CanRingValidation(shape_ok, coprime_ok, ambient_ok, detail)

@@ -62,7 +62,7 @@ def _load(path: str, from_json: Callable[[dict], T]) -> T:
             f"column {exc.colno}") from None
     try:
         return from_json(doc)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise UsageError(
             f"malformed document in {path}: {type(exc).__name__}: {exc}") from None
 

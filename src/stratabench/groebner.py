@@ -21,8 +21,8 @@ The bookkeeping is kept cheap without changing the algorithm:
 
 Every computation is budgeted: a step counter aborts with
 BudgetExceeded instead of hanging on an unexpectedly hard input.  The
-default budget can be overridden per call or through the
-STRATABENCH_STEP_BUDGET environment variable.
+STRATABENCH_STEP_BUDGET environment variable overrides the default
+budget.
 """
 
 from __future__ import annotations
@@ -166,12 +166,7 @@ def _reduce_terms(
     return remainder
 
 
-def normal_form(
-    p: Polynomial,
-    basis,
-    order: Optional[MonomialOrder] = None,
-    budget: Optional[int] = None,
-) -> Polynomial:
+def normal_form(p: Polynomial, basis, order: Optional[MonomialOrder] = None) -> Polynomial:
     """Remainder of multivariate division of p by a basis.
 
     When `basis` is a GroebnerBasis the remainder is the unique normal
@@ -189,7 +184,7 @@ def normal_form(
     ring = p.ring
     if any(g.ring != ring for g in gens):
         raise PolynomialError("mixed rings")
-    b = Budget("normal_form", step_budget(budget))
+    b = Budget("normal_form", step_budget())
     keys = _Keys(order, ring.weights)
     divisors = []
     for g in gens:
@@ -210,15 +205,11 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.generators)
 
-    def contains(self, p: Polynomial, budget: Optional[int] = None) -> bool:
-        return normal_form(p, self, budget=budget).is_zero()
+    def contains(self, p: Polynomial) -> bool:
+        return normal_form(p, self).is_zero()
 
 
-def buchberger(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = GREVLEX,
-    budget: Optional[int] = None,
-) -> GroebnerBasis:
+def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of (gens), deterministic for fixed input."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -227,7 +218,7 @@ def buchberger(
     if any(g.ring != ring for g in gens):
         raise PolynomialError("mixed rings")
     w = ring.weights
-    b = Budget("buchberger", step_budget(budget))
+    b = Budget("buchberger", step_budget())
     keys = _Keys(order, w)
 
     G: List[Polynomial] = []
@@ -320,11 +311,7 @@ def _restrict_ring(ring: WeightedRing, names: Sequence[str]) -> WeightedRing:
     return WeightedRing(tuple(names), tuple(ring.weights[ring.index(n)] for n in names))
 
 
-def eliminate(
-    gens: Sequence[Polynomial],
-    drop_vars,
-    budget: Optional[int] = None,
-) -> List[Polynomial]:
+def eliminate(gens: Sequence[Polynomial], drop_vars) -> List[Polynomial]:
     """Generators of (gens) intersected with the subring without drop_vars.
 
     Computed via a block elimination order with the dropped variables in
@@ -344,7 +331,7 @@ def eliminate(
     ordered = [n for n in ring.names if n in drop] + keep
     work_ring = _restrict_ring(ring, ordered)
     order = MonomialOrder("block-elimination", split=len(drop))
-    gb = buchberger([rename_into(g, work_ring) for g in gens], order, budget=budget)
+    gb = buchberger([rename_into(g, work_ring) for g in gens], order)
     keep_ring = _restrict_ring(ring, keep)
     out = []
     for g in gb:
@@ -383,7 +370,7 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial(ring, quot)
 
 
-def poly_gcd(f: Polynomial, g: Polynomial, budget: Optional[int] = None) -> Polynomial:
+def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd, via lcm computed from the intersection (f) ∩ (g).
 
     The intersection uses the classical tag construction: eliminate T
@@ -402,7 +389,7 @@ def poly_gcd(f: Polynomial, g: Polynomial, budget: Optional[int] = None) -> Poly
     fb = rename_into(f, big)
     gb_ = rename_into(g, big)
     T = big.var(tag)
-    inter = eliminate([T * fb, (big.one() - T) * gb_], {tag}, budget=budget)
+    inter = eliminate([T * fb, (big.one() - T) * gb_], {tag})
     inter = [q for q in inter if not q.is_zero()]
     if len(inter) != 1:
         raise PolynomialError(
@@ -414,7 +401,7 @@ def poly_gcd(f: Polynomial, g: Polynomial, budget: Optional[int] = None) -> Poly
 # -- projective emptiness ----------------------------------------------------
 
 
-def projective_empty(gens: Sequence[Polynomial], budget: Optional[int] = None) -> bool:
+def projective_empty(gens: Sequence[Polynomial]) -> bool:
     """Is the projective zero set over C of homogeneous gens empty?
 
     True iff the quotient by the ideal is a finite-dimensional vector
@@ -430,7 +417,7 @@ def projective_empty(gens: Sequence[Polynomial], budget: Optional[int] = None) -
     for g in gens:
         if g.weighted_degree() == "inhomogeneous":
             raise PolynomialError("projective test expects homogeneous generators")
-    gb = buchberger(gens, GREVLEX, budget=budget)
+    gb = buchberger(gens, GREVLEX)
     keys = _Keys(gb.order, ring.weights)
     lms = [_leading(g, keys)[0] for g in gb]
     for i in range(ring.nvars):

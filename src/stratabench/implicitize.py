@@ -154,19 +154,15 @@ def implicitize(inp: ParametrizationInput) -> Tuple[PlaneQuartic, dict]:
 def verify_node(q: PlaneQuartic, point: Sequence[Fraction]) -> bool:
     """Is the point an ordinary node of the quartic?
 
-    Requires q and all first partials to vanish and the degree-2
-    initial form at the point to be a squarefree binary quadratic.
+    Requires q to vanish to order exactly 2 at the point and the
+    degree-2 initial form there to be a squarefree binary quadratic.
+    Order 2 already says that q and both affine partials vanish at the
+    point; Euler's relation x*q_x + y*q_y + z*q_z = 4q gives the third
+    projective partial.
     """
-    p = q.poly
-    values = dict(zip(("x", "y", "z"), (Fraction(c) for c in point)))
-    if p.evaluate(values) != 0:
-        return False
-    for name in ("x", "y", "z"):
-        if p.differentiate(name).evaluate(values) != 0:
-            return False
     pt = [Fraction(c) for c in point]
     chart = next(i for i in range(3) if pt[i] != 0)
-    local = localize(p, pt, chart)
+    local = localize(q.poly, pt, chart)
     if vanishing_order(local) != 2:
         return False
     return is_squarefree_form(form_coeffs(initial_form(local)))

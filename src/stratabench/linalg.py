@@ -116,8 +116,10 @@ def nullspace(M: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
 
 def solve(M: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """One exact solution of M x = rhs, or None if inconsistent."""
+    if len(rhs) != len(M):
+        raise ValueError(f"{len(M)} rows but {len(rhs)} right-hand side entries")
     if not M:
-        return [] if not any(rhs) else None
+        return []
     cols = len(M[0])
     aug = [list(row) + [Fraction(b)] for row, b in zip(M, rhs)]
     A, pivots = rref(aug)

@@ -477,8 +477,8 @@ def generation_check(ctx: Context, upto: int,
     for k, g in enumerate(gens):
         p = ctx.normal_form(g)
         d = ctx.bidegree(p)
-        if d == "inhomogeneous" or d[0] != d[1]:
-            raise S2EError("generators must have diagonal bidegree")
+        if d == "inhomogeneous" or d[0] != d[1] or d[0] < 1:
+            raise S2EError("generators must have positive diagonal bidegree")
         degs.append(d[0])
         products[tuple(int(i == k) for i in range(len(gens)))] = p
     for m in range(1, upto + 1):

@@ -11,7 +11,8 @@ from stratabench.canring import (BINARY_RING, CANONICAL_RING, XY_RING,
                                  classify_relative_automorphisms,
                                  del_pezzo_report, elliptic_involution_a6,
                                  random_model, rr_prediction, validate_canring)
-from stratabench.groebner import buchberger, leading_monomial
+from stratabench.groebner import buchberger, leading_monomial, poly_gcd
+from stratabench.poly import Polynomial, weighted_exponents
 
 
 def demo_model():
@@ -111,6 +112,55 @@ def test_validate_b_divisible_by_x_fails():
     report = validate_canring(model).to_json()
     assert report["coprime_ok"] and report["ambient_ok"] is False
     assert report["detail"] == "a b_i vanishes on the x=0 locus"
+
+
+def _random_form(rng, degree, x_free=False):
+    """A nonzero random form of the given weighted degree in XY_RING."""
+    exps = [e for e in weighted_exponents((1, 2, 2), degree) if not (x_free and e[0])]
+    while True:
+        p = Polynomial(XY_RING, {e: Fraction(rng.randint(-3, 3)) for e in exps})
+        if not p.is_zero():
+            return p
+
+
+def test_coprime_ok_agrees_with_groebner_gcd():
+    # coprime_ok is decided by the x = 0 resultant where it is nonzero and
+    # by poly_gcd otherwise; poly_gcd(b1, b2) == 1 stays the oracle on all
+    rng = random.Random(2024)
+    x = XY_RING.var("x")
+    y1, y2 = XY_RING.var("y1"), XY_RING.var("y2")
+
+    def valid():
+        return _random_form(rng, 6), _random_form(rng, 6)
+
+    def common_factor():
+        c = _random_form(rng, rng.choice((1, 2, 4)))
+        d = c.weighted_degree()
+        return c * _random_form(rng, 6 - d), c * _random_form(rng, 6 - d)
+
+    def x_divides():
+        return x * _random_form(rng, 5), _random_form(rng, 6)
+
+    def shared_root_on_x0():
+        line = y1 - y2 * Fraction(rng.randint(-3, 3))
+        return tuple(line * _random_form(rng, 4, x_free=True) + x * _random_form(rng, 5)
+                     for _ in range(2))
+
+    seen = set()
+    for kind in (valid, common_factor, x_divides, shared_root_on_x0):
+        for _ in range(5):
+            b1, b2 = kind()
+            model = CanonicalRingModel(XY_RING.zero(), XY_RING.zero(), b1, b2)
+            report = validate_canring(model)
+            oracle = poly_gcd(model.b1, model.b2) == CANONICAL_RING.one()
+            assert report.coprime_ok == oracle, (kind.__name__, b1, b2)
+            if kind is common_factor:
+                assert not report.coprime_ok
+            seen.add((kind.__name__, report.ambient_ok, report.coprime_ok))
+    # every kind reached its intended branch
+    assert ("valid", True, True) in seen
+    assert ("x_divides", False, True) in seen
+    assert ("shared_root_on_x0", False, True) in seen
 
 
 def test_inhomogeneous_inputs_rejected():

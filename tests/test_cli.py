@@ -131,12 +131,19 @@ def test_malformed_documents(tmp_path):
                      encoding="utf-8")
     config = tmp_path / "config.json"
     config.write_text("[1, 2]", encoding="utf-8")
+    from stratabench import bidouble
+    doc = bidouble.known_examples("Z1").to_json()
+    doc["D0"]["terms"][0]["c"] = "1/0"
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc), encoding="utf-8")
     for args, path in ((("canring", "--model", str(model)), model),
-                       (("glue", "--config", str(config)), config)):
+                       (("glue", "--config", str(config)), config),
+                       (("bidouble", "--data", str(data)), data)):
         out = run_cli(*args)
         assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
-        assert str(path) in out.stderr and len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith(f"usage error: malformed document in {path}")
+        assert len(out.stderr.splitlines()) == 1
 
 
 def test_negative_rational_option_values():
@@ -198,12 +205,15 @@ def test_unknown_glue_config_is_a_usage_error(capsys):
 def test_canring_fiber_validates_once(monkeypatch, capsys):
     from stratabench import canring
     calls = []
-    gcd = canring.poly_gcd
-    monkeypatch.setattr(canring, "poly_gcd", lambda f, g: calls.append(1) or gcd(f, g))
+    validate, gcd = canring.validate_canring, canring.poly_gcd
+    monkeypatch.setattr(canring, "validate_canring",
+                        lambda m: calls.append("validate") or validate(m))
+    monkeypatch.setattr(canring, "poly_gcd", lambda f, g: calls.append("gcd") or gcd(f, g))
     for argv in (["canring", "--fiber", "1:1:1"], ["canring", "--selftest"]):
         calls.clear()
         assert dispatch(argv) == 0
-        assert len(calls) == 1, argv
+        # a valid model is coprime by its nonzero x = 0 resultant; no gcd runs
+        assert calls == ["validate"], argv
     capsys.readouterr()
 
 

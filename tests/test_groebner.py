@@ -182,13 +182,15 @@ def test_resultant_vs_evaluation():
         assert resultant(f, g, "v") == R.const(-f.evaluate({"v": r}))
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     x, y, z = R3.var("x"), R3.var("y"), R3.var("z")
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "3")
     with pytest.raises(BudgetExceeded, match="^buchberger: spent the step budget of 3;"):
         buchberger([x ** 3 - 2 * x * y + z, x * x * y - 2 * y * y + x,
-                    x * z - y ** 2], budget=3)
+                    x * z - y ** 2])
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "1")
     with pytest.raises(BudgetExceeded, match="^normal_form: spent the step budget of 1;"):
-        normal_form(x ** 3, [x - y], budget=1)
+        normal_form(x ** 3, [x - y])
 
 
 def test_determinism():
@@ -230,7 +232,7 @@ def test_reduced_basis_shape():
     assert keys == sorted(keys, reverse=True)
 
 
-def test_implicitize_elimination_step_count_is_pinned():
+def test_implicitize_elimination_step_count_is_pinned(monkeypatch):
     # The (2, 3) graph ideal of implicitize takes exactly 1008 steps (S-pairs
     # plus division steps); a change of pair selection or reduction shows here.
     from stratabench.implicitize import GRAPH_RING, ParametrizationInput, build_parametrization
@@ -238,6 +240,8 @@ def test_implicitize_elimination_step_count_is_pinned():
 
     params = build_parametrization(ParametrizationInput(Fraction(2), Fraction(3)))
     gens = [GRAPH_RING.var(n) - rename_into(p, GRAPH_RING) for n, p in zip("xyz", params)]
-    assert len(eliminate(gens, {"u", "v"}, budget=1008)) == 1
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "1008")
+    assert len(eliminate(gens, {"u", "v"})) == 1
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "1007")
     with pytest.raises(BudgetExceeded):
-        eliminate(gens, {"u", "v"}, budget=1007)
+        eliminate(gens, {"u", "v"})

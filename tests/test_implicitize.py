@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from stratabench.bidouble import PLANE
+from stratabench.forms import (form_coeffs, initial_form, is_squarefree_form, localize,
+                               vanishing_order)
 from stratabench.implicitize import (ImplicitizeError, ParametrizationInput,
                                      PlaneQuartic, UV, build_parametrization,
                                      compare_up_to_scalar, implicitize,
@@ -92,6 +94,48 @@ def test_verify_node_examples():
 
     cusp = PlaneQuartic(y ** 2 * z ** 2 - x ** 3 * z)
     assert not verify_node(cusp, (Fraction(0), Fraction(0), Fraction(1)))
+
+
+def _gradient_node_predicate(q, point):
+    """The node test with its gradient pass written out: q and its three
+    partials vanish, the order is 2 and the initial form is squarefree."""
+    p = q.poly
+    values = dict(zip("xyz", point))
+    if p.evaluate(values) != 0:
+        return False
+    if any(p.differentiate(n).evaluate(values) != 0 for n in "xyz"):
+        return False
+    chart = next(i for i in range(3) if point[i] != 0)
+    local = localize(p, point, chart)
+    return (vanishing_order(local) == 2
+            and is_squarefree_form(form_coeffs(initial_form(local))))
+
+
+def test_verify_node_agrees_with_gradient_predicate():
+    rng = random.Random(9)
+    x, y, z = PLANE.var("x"), PLANE.var("y"), PLANE.var("z")
+    coords = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    cases = [(PlaneQuartic(y ** 2 * z ** 2 - x ** 3 * z), [(0, 0, 1), (1, 1, 1)]),
+             (PlaneQuartic(x ** 4 + y ** 4 + z ** 4), coords)]
+    for a, b in ((2, 3), (-2, 5), (Fraction(1, 2), 3)):
+        inp = ParametrizationInput(Fraction(a), Fraction(b))
+        quartic = closed_form_quartic(a, b)
+        # images of parameter values are points on the curve, most of them smooth
+        images = [tuple(f.evaluate({"u": Fraction(rng.randint(-5, 5)), "v": Fraction(1)})
+                        for f in build_parametrization(inp)) for _ in range(4)]
+        off_curve = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(4)]
+        cases.append((quartic, coords + images + off_curve))
+    verdicts = set()
+    for quartic, points in cases:
+        for point in points:
+            point = tuple(Fraction(c) for c in point)
+            if not any(point):
+                continue
+            expected = _gradient_node_predicate(quartic, point)
+            assert verify_node(quartic, point) == expected, (quartic.poly, point)
+            verdicts.add((expected, quartic.poly.evaluate(dict(zip("xyz", point))) == 0))
+    # nodes, singular or smooth points on the curve, and points off it all occurred
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_compare_up_to_scalar():

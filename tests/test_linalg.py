@@ -82,6 +82,10 @@ def test_zero_rows_columns_and_degenerate_shapes():
     assert linalg.rref([[]]) == ([[]], [])
     assert linalg.rank([[]]) == 0 and linalg.nullspace([[]]) == []
     assert linalg.solve([[]], [0]) == [] and linalg.solve([[]], [1]) is None
+    assert linalg.solve([], []) == []
+    for M, rhs in (([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 2]), ([], [0])):
+        with pytest.raises(ValueError, match="right-hand side"):
+            linalg.solve(M, rhs)
     zero = [[0] * 4 for _ in range(3)]
     assert _check(zero) == ([[Fraction(0)] * 4] * 3, [])
     assert linalg.nullspace(zero) == [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]

@@ -245,6 +245,8 @@ def test_generation_check():
     assert generation_check(ctx, 6)
     t = ctx.t_generators()
     assert not generation_check(ctx, 3, generators=[t[0], t[1], t[2]])
+    with pytest.raises(S2EError, match="positive diagonal bidegree"):
+        generation_check(ctx, 2, generators=[ctx.ring.one(), t[0]])
 
 
 def test_symbolic_rejects_conductor():
