@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
 
 from . import (BudgetExceeded, BudgetSettingError, bidouble, canring, fibration, gluing,
                implicitize, s2e)
@@ -62,7 +62,7 @@ def _load(path: str, from_json: Callable[[dict], T]) -> T:
             f"column {exc.colno}") from None
     try:
         return from_json(doc)
-    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, AttributeError, PolynomialError) as exc:
         raise UsageError(
             f"malformed document in {path}: {type(exc).__name__}: {exc}") from None
 
@@ -259,73 +259,93 @@ def cmd_catalog(args) -> Tuple[str, dict]:
 # -- self tests ----------------------------------------------------------------
 
 
-def _selftest_hilbert() -> bool:
+def _first_failure(checks: Callable[[], Iterator[Tuple[str, bool]]]
+                   ) -> Callable[[], Optional[str]]:
+    """Run the (name, ok) checks in order and return the name of the
+    first that fails, or None; later checks do not run."""
+
+    @functools.wraps(checks)
+    def run() -> Optional[str]:
+        return next((name for name, ok in checks() if not ok), None)
+
+    return run
+
+
+@_first_failure
+def _selftest_hilbert():
     series = canring.ci_hilbert_series((1, 2, 2, 3, 3), (6, 6), 12)
-    return all(series[m] == canring.rr_prediction(1, 2, 1, m)
-               for m in range(1, 13))
+    yield "hilbert_series_matches_rr", all(
+        series[m] == canring.rr_prediction(1, 2, 1, m) for m in range(1, 13))
 
 
-def _selftest_canring() -> bool:
+@_first_failure
+def _selftest_canring():
     model = _demo_model()
     report = canring.validate_canring(model)
+    yield "demo_model_valid", report.valid
     base = (Fraction(1), Fraction(1), Fraction(1))
-    return report.valid and canring.bicanonical_fiber_count(
+    yield "fiber_count_is_4", canring.bicanonical_fiber_count(
         model, base, validation=report) == 4
 
 
-def _selftest_bidouble() -> bool:
+@_first_failure
+def _selftest_bidouble():
     for name, tag in (("Z1", "elliptic-degree-1"), ("Z4", "elliptic-degree-4")):
         bd = bidouble.known_examples(name)
-        if not bidouble.validate_building_data(bd)["valid"]:
-            return False
+        yield f"{name}_valid", bidouble.validate_building_data(bd)["valid"]
         pt = bidouble.SPECIAL_POINTS[name][0]
-        if bidouble.classify_point(bd, pt).tag != tag:
-            return False
+        yield f"{name}_point_tag", bidouble.classify_point(bd, pt).tag == tag
     d = bidouble.DivisorMultiset(
         (("line", 1), ("E", 1)),
         (("L1", 1), ("L2", 1), ("L3", 1), ("E", 3)),
         (("cubic", 1),))
     out = bidouble.normalize_building_data(d)
-    return out.to_json() == {"D0": [["line", 1]],
-                             "D1": [["L1", 1], ["L2", 1], ["L3", 1]],
-                             "D2": [["E", 1], ["cubic", 1]]}
+    yield "normalize", out.to_json() == {"D0": [["line", 1]],
+                                         "D1": [["L1", 1], ["L2", 1], ["L3", 1]],
+                                         "D2": [["E", 1], ["cubic", 1]]}
 
 
-def _selftest_fibration() -> bool:
-    return cmd_fibration(None)[0] == "pass"
+@_first_failure
+def _selftest_fibration():
+    yield "fibration_checks", cmd_fibration(None)[0] == "pass"
 
 
-def _selftest_glue() -> bool:
+@_first_failure
+def _selftest_glue():
     config, sym = gluing.builtin_config("four-lines")
-    if len(gluing.enumerate_gluings(config, sym)) != 3:
-        return False
+    yield "four_lines_orbits", len(gluing.enumerate_gluings(config, sym)) == 3
     config, sym = gluing.builtin_config("cubic-line")
-    if gluing.enumerate_gluings(config, sym):
-        return False
-    return gluing.minimum_nodes_check()["minimum"] == 3
+    yield "cubic_line_orbits", not gluing.enumerate_gluings(config, sym)
+    yield "minimum_nodes", gluing.minimum_nodes_check()["minimum"] == 3
 
 
-def _selftest_implicitize() -> bool:
+@_first_failure
+def _selftest_implicitize():
     inp = implicitize.ParametrizationInput(Fraction(2), Fraction(3))
     quartic, ver = implicitize.implicitize(inp)
-    return (quartic.poly == implicitize.closed_form_quartic(2, 3).poly
-            and ver["pullback_zero"] and all(ver["nodes"].values()))
+    yield "closed_form", quartic.poly == implicitize.closed_form_quartic(2, 3).poly
+    yield "pullback_zero", ver["pullback_zero"]
+    yield "nodes", all(ver["nodes"].values())
 
 
-def _selftest_s2e() -> bool:
+@_first_failure
+def _selftest_s2e():
     params = s2e.WeierstrassParams(Fraction(1), Fraction(1))
     glue = s2e.GluingParams(Fraction(1), Fraction(1))
     rep = s2e.pipeline_report(params, glue)
-    return (rep["identity1_ok"] and rep["identity2_ok"]
-            and rep["theorem"]["succeeding"].startswith("t-system"))
+    yield "identity1", rep["identity1_ok"]
+    yield "identity2", rep["identity2_ok"]
+    yield "t_system_succeeds", rep["theorem"]["succeeding"].startswith("t-system")
 
 
-def _selftest_catalog() -> bool:
+@_first_failure
+def _selftest_catalog():
     cat = fibration.stratum_catalog()
-    return cat["normal_strata_count"] == 7 and cat["moduli_dimension"] == 18
+    yield "normal_strata_count", cat["normal_strata_count"] == 7
+    yield "moduli_dimension", cat["moduli_dimension"] == 18
 
 
-SELFTESTS: Dict[str, Callable[[], bool]] = {
+SELFTESTS: Dict[str, Callable[[], Optional[str]]] = {
     "hilbert": _selftest_hilbert,
     "canring": _selftest_canring,
     "bidouble": _selftest_bidouble,
@@ -426,8 +446,10 @@ def dispatch(argv) -> int:
     args = _parser().parse_args(argv)
     try:
         if getattr(args, "selftest", False):
-            ok = SELFTESTS[args.subcommand]()
-            verdict, evidence = ("pass" if ok else "fail"), {"selftest": ok}
+            failed = SELFTESTS[args.subcommand]()
+            verdict, evidence = "pass", {"selftest": True}
+            if failed is not None:
+                verdict, evidence = "fail", {"selftest": False, "failed_check": failed}
         else:
             verdict, evidence = HANDLERS[args.subcommand](args)
     except (UsageError, BudgetSettingError) as exc:

@@ -71,8 +71,14 @@ class MarkedConfig:
     def chi_bar(self) -> int:
         return sum(1 - g for g, _ in self.components) - self.mu_bar
 
+    @cached_property
     def component_of(self) -> Dict[str, int]:
+        """Every mark's component index; its keys are the mark set."""
         return {m: i for i, (_, marks) in enumerate(self.components) for m in marks}
+
+    @cached_property
+    def _rho_options(self) -> Tuple[Tuple[int, ...], ...]:
+        return tuple(rho_options(g) for g, _ in self.components)
 
     @cached_property
     def _nodes(self) -> Dict[str, Tuple[str, str]]:
@@ -155,22 +161,21 @@ def make_involution(config: MarkedConfig, component_map: Sequence[int],
     cm = tuple(component_map)
     if sorted(cm) != list(range(n)) or any(cm[cm[i]] != i for i in range(n)):
         raise GluingError("component_map is not an involutive permutation")
-    comp_of = config.component_of()
-    marks = set(comp_of)
-    if set(mark_map) != marks:
+    comp_of = config.component_of
+    if mark_map.keys() != comp_of.keys():
         raise GluingError("mark_map must be defined on every mark")
     for m, im in mark_map.items():
-        if im not in marks or mark_map[im] != m:
+        if mark_map.get(im) != m:
             raise GluingError("mark_map is not an involution")
         if im == m:
             raise GluingError("mark_map must not fix a mark")
         if comp_of[im] != cm[comp_of[m]]:
             raise GluingError("mark_map incompatible with component_map")
     invariant = {i for i in range(n) if cm[i] == i}
-    if set(fixed_point_counts) != invariant:
+    if fixed_point_counts.keys() != invariant:
         raise GluingError("fixed_point_counts must cover exactly the invariant components")
     for i, c in fixed_point_counts.items():
-        if c not in rho_options(config.components[i][0]):
+        if c not in config._rho_options[i]:
             raise GluingError(
                 f"component {i} of genus {config.components[i][0]} cannot have "
                 f"{c} fixed points")
@@ -282,7 +287,7 @@ def _check_symmetry(config: MarkedConfig, g: ConfigSymmetry):
     if sorted(cp) != list(range(n)):
         raise GluingError("component_perm is not a permutation")
     md = g.mark_dict()
-    comp_of = config.component_of()
+    comp_of = config.component_of
     if set(md) != set(comp_of) or set(md.values()) != set(comp_of):
         raise GluingError("mark_perm is not a bijection on the marks")
     for m, im in md.items():
@@ -309,7 +314,7 @@ def _relabel(config: MarkedConfig, component_perm: Sequence[int],
              *cycles: Sequence[str]) -> ConfigSymmetry:
     """The symmetry moving each cycle's marks one step along it and
     fixing every mark no cycle lists."""
-    md = {m: m for m in config.component_of()}
+    md = {m: m for m in config.component_of}
     for cycle in cycles:
         md.update(zip(cycle, cycle[1:] + cycle[:1]))
     return ConfigSymmetry(tuple(component_perm), tuple(sorted(md.items())))
@@ -437,8 +442,18 @@ def enumerate_gluings(config: MarkedConfig,
     one representative per symmetry orbit, each annotated with its cusp
     partition and geometric feasibility.
 
+    A candidate with rho fixed points passes exactly when
+    4*mu1 == slack, where slack = 2*mu_bar - rho.  So a candidate whose
+    slack is negative or not a multiple of 4 is rejected from rho alone,
+    without walking any cusp cycle.  `_candidates` yields the rho-tuples
+    of one mark map one after another, and mu1 depends only on the mark
+    map, so its cusp cycles are walked once for all of them.  Only the
+    orbit representative gets the full `chi_check` report.
+
     Raises BudgetExceeded, before building any candidate, when there are
-    more candidates than the step budget allows.
+    more candidates than the step budget allows.  The budget counts every
+    candidate (`_candidate_count`), pruned or not, since each is still
+    built and validated.
     """
     count, budget = _candidate_count(config), step_budget()
     if count > budget:
@@ -447,8 +462,14 @@ def enumerate_gluings(config: MarkedConfig,
             f"budget of {budget}; raise STRATABENCH_STEP_BUDGET if intended")
     group = _close_group(config, symmetry)
     orbits: Dict[tuple, GluingOrbit] = {}
+    walked, mu1 = None, 0
     for inv in _candidates(config):
-        if not chi_check(config, inv)["holds"]:
+        slack = 2 * config.mu_bar - inv.rho()
+        if slack < 0 or slack % 4:
+            continue
+        if inv.mark_map != walked:
+            walked, mu1 = inv.mark_map, cusp_classes(config, inv).mu1
+        if 4 * mu1 != slack:
             continue
         orbit_keys = {_canonical_key(_conjugate(inv, g)) for g in group}
         canon = min(orbit_keys)

@@ -420,8 +420,11 @@ def from_json(doc: dict, ring: WeightedRing | None = None) -> Polynomial:
         raise PolynomialError("JSON ring does not match the supplied ring")
     terms: Dict[Exponent, Fraction] = {}
     for t in doc["terms"]:
-        e = tuple(int(x) for x in t["e"])
+        try:
+            e, c = tuple(int(x) for x in t["e"]), fraction_from_str(t["c"])
+        except (ValueError, ZeroDivisionError):
+            raise PolynomialError(f"malformed JSON term {t!r}") from None
         if e in terms:
             raise PolynomialError("duplicate exponent vector in JSON terms")
-        terms[e] = fraction_from_str(t["c"])
+        terms[e] = c
     return Polynomial(ring, terms)

@@ -132,18 +132,43 @@ def test_malformed_documents(tmp_path):
     config = tmp_path / "config.json"
     config.write_text("[1, 2]", encoding="utf-8")
     from stratabench import bidouble
-    doc = bidouble.known_examples("Z1").to_json()
-    doc["D0"]["terms"][0]["c"] = "1/0"
-    data = tmp_path / "data.json"
-    data.write_text(json.dumps(doc), encoding="utf-8")
-    for args, path in ((("canring", "--model", str(model)), model),
-                       (("glue", "--config", str(config)), config),
-                       (("bidouble", "--data", str(data)), data)):
+    cases = [(("canring", "--model", str(model)), model),
+             (("glue", "--config", str(config)), config)]
+    for k, (field, value) in enumerate((("c", "1/0"), ("c", "abc"), ("e", [1, 0]))):
+        doc = bidouble.known_examples("Z1").to_json()
+        doc["D0"]["terms"][0][field] = value
+        data = tmp_path / f"data{k}.json"
+        data.write_text(json.dumps(doc), encoding="utf-8")
+        cases.append((("bidouble", "--data", str(data)), data))
+    for args, path in cases:
         out = run_cli(*args)
         assert out.returncode == 2, out.stderr
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith(f"usage error: malformed document in {path}")
         assert len(out.stderr.splitlines()) == 1
+
+
+def test_well_formed_invalid_model_is_a_verification_error(tmp_path, capsys):
+    from stratabench import bidouble
+    doc = bidouble.known_examples("Z1").to_json()
+    doc["D1"] = doc["D0"]
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc), encoding="utf-8")
+    assert dispatch(["bidouble", "--data", str(data)]) == 1
+    assert capsys.readouterr().err == "error: D1 must be homogeneous of degree 3\n"
+
+
+def test_failed_selftest_names_its_check(monkeypatch, capsys):
+    assert dispatch(["hilbert", "--selftest"]) == 0
+    passing = capsys.readouterr().out
+    assert json.loads(passing.split("\n", 1)[1])["evidence"] == {"selftest": True}
+    from stratabench import canring
+    monkeypatch.setattr(canring, "ci_hilbert_series",
+                        lambda weights, relations, upto: [0] * (upto + 1))
+    assert dispatch(["hilbert", "--selftest"]) == 1
+    doc = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert doc["verdict"] == "fail"
+    assert doc["evidence"] == {"selftest": False, "failed_check": "hilbert_series_matches_rr"}
 
 
 def test_negative_rational_option_values():

@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from stratabench import BudgetExceeded
+from stratabench import BudgetExceeded, gluing
 from stratabench.gluing import (ADMISSIBLE, EXCLUDED_ETALE,
-                                GluingError, MarkedConfig, builtin_config,
+                                GluingError, GluingInvolution, GluingOrbit,
+                                MarkedConfig, builtin_config,
                                 chi_check, cusp_classes, enumerate_gluings,
                                 etale_descent_excluded, make_involution,
                                 minimum_nodes_check, quartic_case_table,
@@ -105,6 +107,19 @@ def test_involution_validation():
         # component map not an involution
         four = {"P12": "P21", "P13": "P24", "P14": "P23"}
         make_involution(config, (1, 2, 3, 0), four, {})
+    config, _ = builtin_config("two-conics")
+    pairs = {"A1": "A2", "A3": "A4", "B1": "B3", "B2": "B4"}
+    good = {**pairs, **{b: a for a, b in pairs.items()}}
+    make_involution(config, (0, 1), good, {0: 2, 1: 2})
+    for mark_map, counts, message in (
+            ({**good, "A1": "Z9"}, {0: 2, 1: 2}, "not an involution"),
+            ({m: good[m] for m in good if m != "B4"}, {0: 2, 1: 2}, "every mark"),
+            ({**good, "A1": "B1", "B1": "A1", "A2": "B3", "B3": "A2"}, {0: 2, 1: 2},
+             "incompatible with component_map"),
+            (good, {0: 2}, "exactly the invariant components"),
+            (good, {0: 4, 1: 2}, "cannot have 4 fixed points")):
+        with pytest.raises(GluingError, match=message):
+            make_involution(config, (0, 1), mark_map, counts)
 
 
 def test_four_lines_enumeration():
@@ -190,7 +205,6 @@ def test_canonicalization_constant_on_orbits():
         assert canon(moved) == base
     # idempotence: canonical form of the canonical representative
     rep_key = canon(inv)
-    from stratabench.gluing import GluingInvolution
     rep = GluingInvolution(*rep_key)
     assert canon(rep) == rep_key
 
@@ -348,3 +362,91 @@ def test_node_name_refuses_a_pair_that_is_not_a_node():
                  ("Q", "R"), ()):
         with pytest.raises(GluingError, match="not a matching pair"):
             config.node_name(frozenset(pair))
+
+
+def doubled_config(sizes, genera, seed):
+    """Copies A and B of each component, matched at random so that
+    exchanging the two copies is a symmetry of the configuration."""
+    rng = random.Random(seed)
+    comps = tuple((g, tuple(f"{c}{i}m{j}" for j in range(n)))
+                  for c in "AB" for i, (n, g) in enumerate(zip(sizes, genera)))
+    marks = [f"{i}m{j}" for i, n in enumerate(sizes) for j in range(n)]
+    rng.shuffle(marks)
+    matching = []
+    for a, b in zip(marks[::2], marks[1::2]):
+        cross = rng.random() < 0.5
+        matching += [("A" + a, ("B" if cross else "A") + b),
+                     ("B" + a, ("A" if cross else "B") + b)]
+    config = MarkedConfig(comps, tuple(matching))
+    k = len(sizes)
+    swap = _relabel(config, (*range(k, 2 * k), *range(k)),
+                    *[("A" + m, "B" + m) for m in marks])
+    return config, [swap]
+
+
+def reference_gluings(config, symmetry):
+    """The orbits of enumerate_gluings, from chi_check on every candidate."""
+    group = _close_group(config, symmetry)
+    orbits = {}
+    for inv in _candidates(config):
+        if not chi_check(config, inv)["holds"]:
+            continue
+        keys = {_canonical_key(_conjugate(inv, g)) for g in group}
+        canon = min(keys)
+        if canon not in orbits:
+            rep = GluingInvolution(*canon)
+            report = chi_check(config, rep)
+            feas = EXCLUDED_ETALE if etale_descent_excluded(config, rep) else ADMISSIBLE
+            orbits[canon] = GluingOrbit(rep, report["partition"], report, feas, len(keys))
+    return [orbits[k].to_json() for k in sorted(orbits)]
+
+
+@pytest.mark.parametrize("config,symmetry", [
+    *[builtin_config(name) for name in BUILTINS],
+    (random_config((4, 4, 2), (1, 1, 0), 6), ()),      # genus 1: rho in {0, 4}
+    (random_config((4, 4), (1, 1), 5), ()),
+    (random_config((6,), (2,), 7), ()),                # genus 2: rho in {2, 6}
+    (random_config((2, 2, 4), (2, 2, 1), 5), ()),
+    (random_config((2, 4, 2), (2, 0, 1), 6), ()),
+    (random_config((6, 2), (2, 1), 5), ()),            # every rho pruned
+    doubled_config((2, 4), (1, 2), 10),
+    (random_config((7, 7), (0, 0), 11), ()),           # rho = 0, mu_bar = 7
+    (MarkedConfig(((3, ()),), ()), ()),                # mu_bar = 0, rho in {0, 4, 8}
+])
+def test_rho_prune_keeps_every_orbit(config, symmetry):
+    got = [o.to_json() for o in enumerate_gluings(config, symmetry)]
+    assert got == reference_gluings(config, symmetry)
+
+
+def gluing_work(monkeypatch, config, symmetry=()):
+    """(candidates built, cusp cycles walked) by one enumerate_gluings."""
+    calls = Counter()
+    for name in ("make_involution", "cusp_classes"):
+        def counted(*args, _fn=getattr(gluing, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(gluing, name, counted)
+    enumerate_gluings(config, symmetry)
+    return calls["make_involution"], calls["cusp_classes"]
+
+
+def test_gluing_work_is_pinned(monkeypatch):
+    # four-lines: every candidate has rho = 0 and slack 12, so each of the
+    # 108 mark maps is walked once, plus once per representative (3 orbits)
+    assert gluing_work(monkeypatch, *builtin_config("four-lines")) == (108, 111)
+    # two 7-mark rational lines: rho = 0 and slack 14, so nothing is walked
+    assert gluing_work(monkeypatch, random_config((7, 7), (0, 0), 3)) == (5040, 0)
+
+
+@pytest.mark.parametrize("config,symmetry", [
+    *[builtin_config(name) for name in BUILTINS],
+    doubled_config((2, 4), (1, 0), 1),
+    doubled_config((3, 1), (0, 1), 2),
+])
+def test_orbit_count_by_burnside(config, symmetry):
+    # orbits = (1/|G|) sum over g of the chi-passing candidates g fixes
+    group = _close_group(config, symmetry)
+    passing = [inv for inv in _candidates(config) if chi_check(config, inv)["holds"]]
+    fixed = sum(_conjugate(inv, g) == inv for g in group for inv in passing)
+    assert fixed % len(group) == 0
+    assert len(enumerate_gluings(config, symmetry)) == fixed // len(group)

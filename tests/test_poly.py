@@ -146,6 +146,12 @@ def test_edge_cases():
         Polynomial(R2, {(-1, 0): Fraction(1)})  # negative exponent
     with pytest.raises(PolynomialError):
         poly.from_json(poly.to_json(u), ring=R5)  # ring mismatch
+    for bad in ({"c": "abc", "e": [1, 0]}, {"c": "1/0", "e": [1, 0]},
+                {"c": "1", "e": ["a", 0]}, {"c": "1", "e": [1]}):
+        doc = poly.to_json(u)
+        doc["terms"] = [bad]
+        with pytest.raises(PolynomialError):
+            poly.from_json(doc)
 
 
 def test_immutability():
