@@ -5,10 +5,12 @@ pipeline.
 
 The step budget bounds the Groebner engine, the row updates of exact
 RREF and gluing enumeration.  It lives here so that linear algebra and
-gluing can consult it without depending on the Groebner engine.
+gluing can consult it without depending on the Groebner engine.  So do
+the JSON type checks that the document loaders share.
 """
 
 import os
+from typing import Optional
 
 __version__ = "0.1.0"
 
@@ -47,3 +49,23 @@ def step_budget() -> int:
         raise BudgetSettingError(
             f"STRATABENCH_STEP_BUDGET must be a non-negative integer, got {env!r}")
     return int(env)
+
+
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; TypeError for anything else,
+    a boolean or a float included."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
+def json_list(value, what: str, kind: Optional[type] = None,
+              length: Optional[int] = None) -> tuple:
+    """`value` as a tuple if it is a JSON list, of `length` items when that
+    is given, each of type `kind` when that is given; TypeError otherwise."""
+    if (type(value) is not list or length not in (None, len(value))
+            or kind is not None and any(type(v) is not kind for v in value)):
+        shape = "".join((f" {length}" if length is not None else "",
+                         f" {kind.__name__}" if kind is not None else ""))
+        raise TypeError(f"{what} must be a list of{shape} items, got {value!r:.40}")
+    return tuple(value)

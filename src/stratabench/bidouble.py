@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from . import poly
+from . import json_int, json_list, poly
 from .forms import (AFFINE, PLANE, form_coeffs, initial_form, is_squarefree_form,
                     localize, vanishing_order)
 from .groebner import projective_empty
@@ -148,7 +148,14 @@ class DivisorMultiset:
 
     @staticmethod
     def from_json(doc: dict) -> "DivisorMultiset":
-        return DivisorMultiset(*(tuple((l, m) for l, m in doc[k])
+        """Raises TypeError for a value of the wrong JSON type."""
+        def entry(e):
+            label, mult = json_list(e, "a divisor entry", length=2)
+            if type(label) is not str:
+                raise TypeError(f"a divisor label must be a string, got {label!r:.40}")
+            return label, json_int(mult, "a multiplicity")
+
+        return DivisorMultiset(*(tuple(entry(e) for e in json_list(doc[k], k))
                                  for k in ("D0", "D1", "D2")))
 
 

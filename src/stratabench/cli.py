@@ -60,6 +60,8 @@ def _load(path: str, from_json: Callable[[dict], T]) -> T:
         raise UsageError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno}, "
             f"column {exc.colno}") from None
+    except RecursionError:
+        raise UsageError(f"malformed JSON in {path}: nested too deeply") from None
     try:
         return from_json(doc)
     except (KeyError, TypeError, AttributeError, PolynomialError) as exc:

@@ -26,10 +26,10 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
 from math import comb, factorial, prod
-from typing import (Callable, Dict, FrozenSet, Hashable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, FrozenSet, Hashable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
-from . import BudgetExceeded, step_budget
+from . import BudgetExceeded, json_int, json_list, step_budget
 
 
 class GluingError(ValueError):
@@ -51,6 +51,8 @@ class MarkedConfig:
     def __post_init__(self):
         comps = tuple((int(g), tuple(marks)) for g, marks in self.components)
         object.__setattr__(self, "components", comps)
+        if any(g < 0 for g, _ in comps):
+            raise GluingError("genus must be non-negative")
         match = tuple((a, b) for a, b in self.matching)
         object.__setattr__(self, "matching", match)
         all_marks = [m for _, marks in comps for m in marks]
@@ -109,30 +111,31 @@ class MarkedConfig:
 
     @staticmethod
     def from_json(doc: dict) -> "MarkedConfig":
+        """Raises TypeError for a value of the wrong JSON type."""
         return MarkedConfig(
-            tuple((c["genus"], tuple(c["marks"])) for c in doc["components"]),
-            tuple(tuple(p) for p in doc["matching"]),
-            tuple(doc["node_names"]) if "node_names" in doc else None,
+            tuple((json_int(c["genus"], "genus"), json_list(c["marks"], "marks", str))
+                  for c in doc["components"]),
+            tuple(json_list(p, "a matching entry", str, 2) for p in doc["matching"]),
+            json_list(doc["node_names"], "node_names", str) if "node_names" in doc else None,
         )
 
 
-def rho_options(genus: int) -> Tuple[int, ...]:
+def rho_options(genus: int) -> range:
     """Possible fixed-point counts of an involution on a genus-g curve.
 
-    Riemann-Hurwitz: rho = 2g + 2 - 4h for the quotient genus h, so a
+    Riemann-Hurwitz: rho = 2g + 2 - 4h >= 0 for the quotient genus h, so a
     self-mapped rational component always has exactly two fixed points
-    and a genus-1 component has none or four.
+    and a genus-1 component has none or four.  An O(1) range, largest first.
     """
-    return tuple(2 * genus + 2 - 4 * h for h in range((genus + 1) // 2 + 1)
-                 if 2 * genus + 2 - 4 * h >= 0)
+    return range(2 * genus + 2, -1, -4)
 
 
-@dataclass(frozen=True)
-class GluingInvolution:
+class GluingInvolution(NamedTuple):
     """component_map and mark_map are involutions; no mark is fixed.
 
     fixed_point_counts assigns, to every tau-invariant component, the
-    number of geometric fixed points on it (away from the marks).
+    number of geometric fixed points on it (away from the marks).  The
+    fields are canonical, so an involution is its own orbit key.
     """
 
     component_map: Tuple[int, ...]
@@ -269,8 +272,7 @@ def etale_descent_excluded(config: MarkedConfig, inv: GluingInvolution) -> bool:
 # -- enumeration ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConfigSymmetry:
+class ConfigSymmetry(NamedTuple):
     """A relabelling of the configuration: component permutation plus a
     compatible mark bijection preserving the matching."""
 
@@ -336,7 +338,7 @@ def _close_group(config: MarkedConfig,
                     group.add(gh)
                     nxt.append(gh)
         frontier = nxt
-    return sorted(group, key=lambda s: (s.component_perm, s.mark_perm))
+    return sorted(group)
 
 
 def _conjugate(inv: GluingInvolution, g: ConfigSymmetry) -> GluingInvolution:
@@ -390,10 +392,6 @@ class GluingOrbit:
         }
 
 
-def _canonical_key(inv: GluingInvolution):
-    return (inv.component_map, inv.mark_map, inv.fixed_point_counts)
-
-
 def _candidates(config: MarkedConfig) -> Iterator[GluingInvolution]:
     """Every gluing involution of the configuration, built lazily."""
     comps = config.components
@@ -410,7 +408,7 @@ def _candidates(config: MarkedConfig) -> Iterator[GluingInvolution]:
                         for i, j in swapped]
         fixed_choices = [list(_involutions(sorted(comps[i][1]), False, lambda a, b: True))
                          for i in invariant]
-        rho_choices = [rho_options(comps[i][0]) for i in invariant]
+        rho_choices = [config._rho_options[i] for i in invariant]
         for maps in product(*pair_choices, *fixed_choices):
             mark_map = {a: b for m in maps for a, b in m.items()}
             for counts in product(*rho_choices):
@@ -422,15 +420,17 @@ def _candidate_count(config: MarkedConfig) -> int:
 
     Components of one (genus, mark count) class are either swapped in
     pairs or invariant.  A swapped pair of k-mark components has k!
-    mark bijections; an invariant n-mark component has (n-1)!! perfect
-    matchings of its marks (none for odd n) times its choices of rho.
+    mark bijections; an invariant n-mark component of genus g has (n-1)!!
+    perfect matchings of its marks (none for odd n) times its
+    (g+1)//2 + 1 choices of rho, counted without `len`, which overflows
+    on a range longer than sys.maxsize.
     A class of c components has C(c, 2p) (2p-1)!! ways to choose p
     swapped pairs.
     """
     total = 1
     for (genus, n), c in Counter((g, len(marks)) for g, marks in config.components).items():
         swap = factorial(n)
-        fix = 0 if n % 2 else prod(range(n - 1, 0, -2)) * len(rho_options(genus))
+        fix = 0 if n % 2 else prod(range(n - 1, 0, -2)) * ((genus + 1) // 2 + 1)
         total *= sum(comb(c, 2 * p) * prod(range(2 * p - 1, 0, -2)) * swap ** p
                      * fix ** (c - 2 * p) for p in range(c // 2 + 1))
     return total
@@ -440,15 +440,18 @@ def enumerate_gluings(config: MarkedConfig,
                       symmetry: Sequence[ConfigSymmetry] = ()) -> List[GluingOrbit]:
     """All gluing involutions passing the Gorenstein and chi conditions,
     one representative per symmetry orbit, each annotated with its cusp
-    partition and geometric feasibility.
+    partition and geometric feasibility, sorted by representative.
 
     A candidate with rho fixed points passes exactly when
     4*mu1 == slack, where slack = 2*mu_bar - rho.  So a candidate whose
     slack is negative or not a multiple of 4 is rejected from rho alone,
     without walking any cusp cycle.  `_candidates` yields the rho-tuples
     of one mark map one after another, and mu1 depends only on the mark
-    map, so its cusp cycles are walked once for all of them.  Only the
-    orbit representative gets the full `chi_check` report.
+    map, so its cusp cycles are walked once for all of them.  The group
+    maps passing candidates to passing candidates, so only the first
+    passing member of an orbit is conjugated; later ones are skipped by a
+    lookup.  The orbit's least member represents it and alone gets the
+    full `chi_check` report.
 
     Raises BudgetExceeded, before building any candidate, when there are
     more candidates than the step budget allows.  The budget counts every
@@ -461,7 +464,8 @@ def enumerate_gluings(config: MarkedConfig,
             f"gluing enumeration: {count} candidate involutions exceed the step "
             f"budget of {budget}; raise STRATABENCH_STEP_BUDGET if intended")
     group = _close_group(config, symmetry)
-    orbits: Dict[tuple, GluingOrbit] = {}
+    seen = set()
+    orbits = []
     walked, mu1 = None, 0
     for inv in _candidates(config):
         slack = 2 * config.mu_bar - inv.rho()
@@ -469,18 +473,15 @@ def enumerate_gluings(config: MarkedConfig,
             continue
         if inv.mark_map != walked:
             walked, mu1 = inv.mark_map, cusp_classes(config, inv).mu1
-        if 4 * mu1 != slack:
+        if 4 * mu1 != slack or inv in seen:
             continue
-        orbit_keys = {_canonical_key(_conjugate(inv, g)) for g in group}
-        canon = min(orbit_keys)
-        if canon in orbits:
-            continue
-        rep = GluingInvolution(*canon)
-        rep_report = chi_check(config, rep)
+        orbit = {_conjugate(inv, g) for g in group}
+        seen |= orbit
+        rep = min(orbit)
+        report = chi_check(config, rep)
         feas = EXCLUDED_ETALE if etale_descent_excluded(config, rep) else ADMISSIBLE
-        orbits[canon] = GluingOrbit(rep, rep_report["partition"], rep_report,
-                                    feas, len(orbit_keys))
-    return [orbits[k] for k in sorted(orbits)]
+        orbits.append(GluingOrbit(rep, report["partition"], report, feas, len(orbit)))
+    return sorted(orbits, key=lambda o: o.representative)
 
 
 # -- nodal quartic decision table ---------------------------------------------

@@ -20,6 +20,8 @@ from itertools import chain
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from . import json_list
+
 Exponent = Tuple[int, ...]
 
 
@@ -414,15 +416,22 @@ def to_json(p: Polynomial) -> dict:
 
 
 def from_json(doc: dict, ring: WeightedRing | None = None) -> Polynomial:
+    """Raises TypeError for a ring of the wrong JSON type and
+    PolynomialError for a term that does not parse; a coefficient is a
+    string or an integer, never a float, which would read inexactly."""
+    doc_ring = WeightedRing(json_list(doc["vars"], "vars", str),
+                            json_list(doc["weights"], "weights", int))
     if ring is None:
-        ring = WeightedRing(tuple(doc["vars"]), tuple(doc["weights"]))
-    elif list(ring.names) != list(doc["vars"]) or list(ring.weights) != list(doc["weights"]):
+        ring = doc_ring
+    elif ring != doc_ring:
         raise PolynomialError("JSON ring does not match the supplied ring")
     terms: Dict[Exponent, Fraction] = {}
     for t in doc["terms"]:
         try:
-            e, c = tuple(int(x) for x in t["e"]), fraction_from_str(t["c"])
-        except (ValueError, ZeroDivisionError):
+            if type(t["c"]) not in (str, int):
+                raise TypeError
+            e, c = json_list(t["e"], "an exponent vector", int), fraction_from_str(t["c"])
+        except (TypeError, ValueError, ZeroDivisionError):
             raise PolynomialError(f"malformed JSON term {t!r}") from None
         if e in terms:
             raise PolynomialError("duplicate exponent vector in JSON terms")

@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratabench.cli import dispatch
 
@@ -60,6 +68,10 @@ def test_malformed_json_diagnostics(tmp_path):
     out = run_cli("canring", "--model", str(bad))
     assert out.returncode == 2
     assert "line" in out.stderr and "column" in out.stderr
+    bad.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    out = run_cli("glue", "--config", str(bad))
+    assert out.returncode == 2
+    assert out.stderr == f"usage error: malformed JSON in {bad}: nested too deeply\n"
 
 
 def test_output_file(tmp_path):
@@ -146,6 +158,97 @@ def test_malformed_documents(tmp_path):
         assert "Traceback" not in out.stderr
         assert out.stderr.startswith(f"usage error: malformed document in {path}")
         assert len(out.stderr.splitlines()) == 1
+
+
+def glue_doc(genus=0, marks=("a", "b"), matching=(("a", "b"),), **extra):
+    return {"components": [{"genus": genus, "marks": list(marks)}],
+            "matching": [list(p) for p in matching], **extra}
+
+
+def multiset_doc(*entries):
+    return {"D0": [list(e) for e in entries], "D1": [], "D2": []}
+
+
+@pytest.mark.parametrize("subcommand,doc", [
+    ("glue", glue_doc(genus="abc")),
+    ("glue", glue_doc(genus=1.5)),
+    ("glue", glue_doc(genus=True)),
+    ("glue", glue_doc(marks=(1, 2), matching=((1, 2),))),
+    ("glue", glue_doc(matching=(("a", "b", "c"),))),
+    ("glue", glue_doc(node_names=[3])),
+    ("bidouble", multiset_doc(("a", "abc"))),
+    ("bidouble", multiset_doc(("a", 1.5))),
+    ("bidouble", multiset_doc(("a", 1, 2))),
+    ("bidouble", multiset_doc((1, 1))),
+    ("canring", {k: {"vars": ["x", "y1", "y2"], "weights": ["a", 2, 2], "terms": []}
+                 for k in ("a1", "a2", "b1", "b2")}),
+], ids=["genus-abc", "genus-float", "genus-bool", "int-marks", "matching-triple",
+        "int-node-name", "multiplicity-abc", "multiplicity-float", "entry-triple",
+        "int-label", "weights-abc"])
+def test_wrong_json_type_is_a_usage_error(tmp_path, capsys, subcommand, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    flag = {"glue": "--config", "bidouble": "--normalize", "canring": "--model"}[subcommand]
+    assert dispatch([subcommand, flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: malformed document in {path}: TypeError: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_negative_genus_and_multiplicity_fail_verification(tmp_path, capsys):
+    for argv, doc, message in (
+            (["glue", "--config"], glue_doc(genus=-1), "genus must be non-negative"),
+            (["bidouble", "--normalize"], multiset_doc(("a", -1)), "negative multiplicity")):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert dispatch(argv + [str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+SCALARS = st.one_of(st.integers(-2, 3), st.integers(), st.just(10 ** 30), st.floats(),
+                    st.booleans(), st.text("ab1", max_size=2), st.none())
+VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=3))
+
+
+@st.composite
+def loader_documents(draw):
+    """A glue config or divisor multiset, each part replaced by a value
+    of some JSON type one time in eight.  The labels are all strings or
+    all ints, drawn once, so a config may be consistent and still use
+    int labels."""
+    def part(good):
+        return draw(VALUES) if draw(st.integers(0, 7)) == 7 else good
+
+    labels = draw(st.lists(st.sampled_from("abcdef"), max_size=6, unique=True)
+                  | st.lists(st.integers(0, 5), max_size=6, unique=True))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        pairs = [part(labels[i:i + 2]) for i in range(0, len(labels), 2)]
+        doc = {"components": part([{"genus": part(draw(st.integers(-1, 2))),
+                                    "marks": part(labels[i::k])} for i in range(k)]),
+               "matching": part(pairs)}
+        if draw(st.booleans()):
+            doc["node_names"] = part([f"N{i}" for i in range(len(pairs))])
+        return ["glue", "--config"], part(doc)
+    doc = {key: part([part([part(label), part(draw(st.integers(-1, 3)))])
+                      for label in labels[j::3]]) for j, key in enumerate(("D0", "D1", "D2"))}
+    return ["bidouble", "--normalize"], part(doc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(loader_documents())
+def test_json_loaders_end_in_an_exit_code(argv_doc):
+    argv, doc = argv_doc
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"STRATABENCH_STEP_BUDGET": "20000"}):
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch(argv + [path])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) == (code != 0)
 
 
 def test_well_formed_invalid_model_is_a_verification_error(tmp_path, capsys):

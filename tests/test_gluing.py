@@ -6,14 +6,13 @@ import pytest
 
 from stratabench import BudgetExceeded, gluing
 from stratabench.gluing import (ADMISSIBLE, EXCLUDED_ETALE,
-                                GluingError, GluingInvolution, GluingOrbit,
+                                GluingError, GluingOrbit,
                                 MarkedConfig, builtin_config,
                                 chi_check, cusp_classes, enumerate_gluings,
                                 etale_descent_excluded, make_involution,
                                 minimum_nodes_check, quartic_case_table,
                                 rho_options, _candidate_count, _candidates,
-                                _canonical_key, _check_symmetry, _close_group,
-                                _conjugate, _relabel)
+                                _check_symmetry, _close_group, _conjugate, _relabel)
 
 
 def four_lines_involution(phi12, phi34):
@@ -35,9 +34,15 @@ X23 = ({"P12": "P23", "P13": "P24", "P14": "P21"},
 
 
 def test_rho_options():
-    assert rho_options(0) == (2,)
+    assert tuple(rho_options(0)) == (2,)
     assert set(rho_options(1)) == {0, 4}
     assert set(rho_options(3)) == {8, 4, 0}
+    # the range lists Riemann-Hurwitz's 2g + 2 - 4h >= 0 in order
+    for g in range(61):
+        listed = tuple(2 * g + 2 - 4 * h for h in range((g + 1) // 2 + 1)
+                       if 2 * g + 2 - 4 * h >= 0)
+        assert tuple(rho_options(g)) == listed
+        assert len(rho_options(g)) == len(listed) == (g + 1) // 2 + 1
 
 
 def test_cusp_classes_table_rows():
@@ -135,11 +140,11 @@ def test_four_lines_enumeration():
     # remaining (4,1,1)-orbit is represented by the involution whose line
     # bijections are both "straight".)
     group = _close_group(config, sym)
-    reps = {_canonical_key(o.representative) for o in orbits}
+    reps = {o.representative for o in orbits}
     canon = {}
     for name, data in (("X21", X21), ("X22", X22), ("X23", X23)):
         inv = four_lines_involution(*data)
-        canon[name] = min(_canonical_key(_conjugate(inv, g)) for g in group)
+        canon[name] = min(_conjugate(inv, g) for g in group)
     assert set(canon.values()) <= reps
     assert canon["X23"] not in (canon["X21"], canon["X22"])
     # no enumerated involution fixes a mark (Gorenstein condition)
@@ -194,7 +199,7 @@ def test_canonicalization_constant_on_orbits():
     rng = random.Random(7)
 
     def canon(i):
-        return min(_canonical_key(_conjugate(i, g)) for g in group)
+        return min(_conjugate(i, g) for g in group)
 
     base = canon(inv)
     for _ in range(10):
@@ -204,9 +209,8 @@ def test_canonicalization_constant_on_orbits():
             moved = _conjugate(moved, g)
         assert canon(moved) == base
     # idempotence: canonical form of the canonical representative
-    rep_key = canon(inv)
-    rep = GluingInvolution(*rep_key)
-    assert canon(rep) == rep_key
+    rep = canon(inv)
+    assert canon(rep) == rep
 
 
 def test_partition_independent_of_matching_order():
@@ -291,6 +295,18 @@ def random_config(sizes, genera, seed):
 def test_candidate_count_closed_form(sizes, genera, count):
     config = random_config(sizes, genera, 3)
     assert _candidate_count(config) == count == sum(1 for _ in _candidates(config))
+
+
+@pytest.mark.parametrize("genus,count", [(10 ** 9, 500000001), (10 ** 30, 5 * 10 ** 29 + 1)])
+def test_huge_genus_is_refused_without_listing_rho(genus, count):
+    import time
+
+    config = MarkedConfig(((genus, ()),), ())
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"gluing enumeration: {count} candidate "
+                       "involutions exceed the step budget of 2000000;"):
+        enumerate_gluings(config)
+    assert time.perf_counter() - start < 1
 
 
 def test_over_budget_refused_before_listing_component_maps():
@@ -391,13 +407,12 @@ def reference_gluings(config, symmetry):
     for inv in _candidates(config):
         if not chi_check(config, inv)["holds"]:
             continue
-        keys = {_canonical_key(_conjugate(inv, g)) for g in group}
-        canon = min(keys)
-        if canon not in orbits:
-            rep = GluingInvolution(*canon)
+        orbit = {_conjugate(inv, g) for g in group}
+        rep = min(orbit)
+        if rep not in orbits:
             report = chi_check(config, rep)
             feas = EXCLUDED_ETALE if etale_descent_excluded(config, rep) else ADMISSIBLE
-            orbits[canon] = GluingOrbit(rep, report["partition"], report, feas, len(keys))
+            orbits[rep] = GluingOrbit(rep, report["partition"], report, feas, len(orbit))
     return [orbits[k].to_json() for k in sorted(orbits)]
 
 
@@ -436,6 +451,27 @@ def test_gluing_work_is_pinned(monkeypatch):
     assert gluing_work(monkeypatch, *builtin_config("four-lines")) == (108, 111)
     # two 7-mark rational lines: rho = 0 and slack 14, so nothing is walked
     assert gluing_work(monkeypatch, random_config((7, 7), (0, 0), 3)) == (5040, 0)
+
+
+def test_each_orbit_is_conjugated_once(monkeypatch):
+    # orbits x |G|: a candidate of an orbit already found is skipped by lookup
+    calls = Counter()
+
+    def counted(inv, g, _fn=gluing._conjugate):
+        calls["conjugate"] += 1
+        return _fn(inv, g)
+
+    monkeypatch.setattr(gluing, "_conjugate", counted)
+    for name, orbits, group, conjugations in (("four-lines", 3, 24, 72),
+                                              ("two-conics", 3, 48, 144),
+                                              ("conic-two-lines", 3, 8, 24),
+                                              ("cubic-line", 0, 6, 0),
+                                              ("three-nodal", 1, 48, 48)):
+        config, sym = builtin_config(name)
+        assert len(_close_group(config, sym)) == group
+        calls.clear()
+        assert len(enumerate_gluings(config, sym)) == orbits
+        assert calls["conjugate"] == conjugations == orbits * group, name
 
 
 @pytest.mark.parametrize("config,symmetry", [

@@ -147,7 +147,9 @@ def test_edge_cases():
     with pytest.raises(PolynomialError):
         poly.from_json(poly.to_json(u), ring=R5)  # ring mismatch
     for bad in ({"c": "abc", "e": [1, 0]}, {"c": "1/0", "e": [1, 0]},
-                {"c": "1", "e": ["a", 0]}, {"c": "1", "e": [1]}):
+                {"c": "1", "e": ["a", 0]}, {"c": "1", "e": [1]},
+                {"c": 0.1, "e": [1, 0]}, {"c": True, "e": [1, 0]},
+                {"c": "1", "e": [1.0, 0]}, {"c": "1", "e": [True, 0]}):
         doc = poly.to_json(u)
         doc["terms"] = [bad]
         with pytest.raises(PolynomialError):
