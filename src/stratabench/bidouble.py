@@ -126,7 +126,10 @@ class DivisorMultiset:
 
     def __post_init__(self):
         for name in ("D0", "D1", "D2"):
-            entries = tuple((str(l), int(m)) for l, m in getattr(self, name))
+            entries = tuple((l, m) for l, m in getattr(self, name))
+            if any(type(l) is not str or type(m) is not int for l, m in entries):
+                raise BuildingDataError(
+                    f"{name} entries must be (string label, integer multiplicity)")
             labels = [l for l, _ in entries]
             if len(set(labels)) != len(labels):
                 raise BuildingDataError(f"duplicate label in {name}")

@@ -37,11 +37,14 @@ class FibrationData:
     L_torsion: bool = False
 
     def __post_init__(self):
+        if any(type(n) is not int for n in
+               (self.base_genus, self.deg_L, self.k, *self.multiplicities)):
+            raise FibrationError("genus, deg_L, k and multiplicities must be integers")
         if self.base_genus not in (0, 1):
             raise FibrationError("base genus must be 0 or 1")
         if self.deg_L < 0 or self.k < 1:
             raise FibrationError("need deg_L >= 0 and k >= 1")
-        ms = tuple(sorted(int(m) for m in self.multiplicities))
+        ms = tuple(sorted(self.multiplicities))
         if any(m < 2 for m in ms):
             raise FibrationError("multiple-fibre multiplicities must be >= 2")
         object.__setattr__(self, "multiplicities", ms)
@@ -242,9 +245,13 @@ def chi_bookkeeping(chi_X: int, elliptic_singularity_degrees: Sequence[int]) -> 
 
     Each elliptic singularity drops chi by one; local complete
     intersections exclude elliptic singularities of degree above 4.
-    Invalid combinations are flagged, never raised.
+    Invalid combinations are flagged, never raised; a value that is not
+    an integer raises FibrationError.
     """
-    degs = tuple(sorted(int(d) for d in elliptic_singularity_degrees))
+    degs = tuple(elliptic_singularity_degrees)
+    if any(type(n) is not int for n in (chi_X, *degs)):
+        raise FibrationError("chi and the singularity degrees must be integers")
+    degs = tuple(sorted(degs))
     r = len(degs)
     chi_resolution = chi_X - r
     degree_ok = all(1 <= d <= 4 for d in degs)

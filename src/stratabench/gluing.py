@@ -49,8 +49,10 @@ class MarkedConfig:
     node_names: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        comps = tuple((int(g), tuple(marks)) for g, marks in self.components)
+        comps = tuple((g, tuple(marks)) for g, marks in self.components)
         object.__setattr__(self, "components", comps)
+        if any(type(g) is not int for g, _ in comps):
+            raise GluingError("genus must be an integer")
         if any(g < 0 for g, _ in comps):
             raise GluingError("genus must be non-negative")
         match = tuple((a, b) for a, b in self.matching)

@@ -6,14 +6,42 @@ criterion) and normal selection (minimal lcm in the term order).  The
 workloads in this package stay below eight variables and total degree
 about twelve, for which this implementation is entirely adequate.
 
+Reduction runs on integers, fraction-free in the spirit of Bareiss
+(Math. Comp. 1968), as `linalg.rref` does:
+
+- inside `buchberger` every basis element is a primitive integer row:
+  its leading monomial, its leading coefficient (made positive) and its
+  other terms, divided by the gcd of all coefficients;
+- the S-polynomial of rows i and j is (lc_j/g)*x^(L-lm_i)*row_i -
+  (lc_i/g)*x^(L-lm_j)*row_j with g = gcd(lc_i, lc_j), a positive
+  multiple of the S-polynomial of the monic elements;
+- one kernel, `_reduce`, cancels a term c*x^e by the row (lm, lc) as
+  work <- (lc/g)*work - (c/g)*x^(e-lm)*row with g = gcd(c, lc), so no
+  Fraction is built in its loop, and it reports the product of the
+  factors lc/g it applied;
+- each nonzero remainder is divided by its content before it joins the
+  basis, so the integers stay small;
+- only the interreduction at the end divides by leading coefficients,
+  which makes the reduced basis monic over Q; `normal_form` clears the
+  denominators of its input and divides the remainder by that lcm times
+  the kernel's factor, so its answer stays exact.
+
+Every integer step is a positive multiple of the step over Q, so each
+intermediate polynomial has the same terms as before and only its scale
+differs.  A term therefore meets the same divisor, and pair selection,
+the criteria and the step count are those of the rational algorithm.
+
 The bookkeeping is kept cheap without changing the algorithm:
 
 - each computation (`buchberger`, `normal_form`, `exact_divide`) builds
   each monomial's order key once, in a dict from exponent to negated
   key that lives only for that call;
-- each basis element's leading monomial is kept beside it, so making
-  the element monic reads its leading coefficient instead of scanning
-  for it, and the remainder of a reduction lists its leading term first;
+- each computation also remembers, per monomial, the index of the first
+  leading monomial that divides it, or how many it checked on a miss.
+  Divisors are only ever appended, so a hit never changes and a miss
+  rescans only the divisors added since: the divisor found is the first
+  one in the list, as a full scan would find;
+- the remainder of a reduction lists its leading term first;
 - the next S-pair comes off a heap of (order key of the lcm, i, j), with
   entries of pairs the criteria have dropped skipped when popped, so
   ties still break on (i, j) and the pairs are processed in the same
@@ -30,7 +58,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -124,46 +152,107 @@ def _mul_exp(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(add, a, b))
 
 
-def _reduce_terms(
-    terms: Dict[Exponent, Fraction],
-    divisors: Sequence[Tuple[Exponent, Dict[Exponent, Fraction]]],
+Row = Tuple[Exponent, int, List[Tuple[Exponent, int]]]
+
+
+def _row(terms: Dict[Exponent, int], lm: Exponent) -> Row:
+    """A nonzero integer term dict as a primitive row: its leading monomial,
+    its leading coefficient made positive, and its other terms, all
+    divided by the gcd of the coefficients taken with the sign of the
+    leading one."""
+    g = gcd(*terms.values())
+    if terms[lm] < 0:
+        g = -g
+    return lm, terms[lm] // g, [(e, c // g) for e, c in terms.items() if e != lm]
+
+
+def _integer_terms(p: Polynomial) -> Tuple[Dict[Exponent, int], int]:
+    """The terms of p times the lcm `den` of their denominators, and `den`."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
+
+
+class _Divisors(dict):
+    """The rows a computation reduces by, and for each exponent met the
+    index of the first row whose leading monomial divides it.
+
+    A miss is stored as ~n, n the number of rows checked.  `rows` is
+    only ever appended to, so a hit never changes and a miss rescans only
+    the rows appended since; the index found is the one a scan of the
+    whole list from the start would find.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: List[Row]):
+        super().__init__()
+        self.rows = rows
+
+    def first(self, e: Exponent) -> Optional[int]:
+        k = self.get(e, -1)
+        if k >= 0:
+            return k
+        rows = self.rows
+        for k in range(~k, len(rows)):
+            if all(map(le, rows[k][0], e)):
+                self[e] = k
+                return k
+        self[e] = ~len(rows)
+        return None
+
+
+def _reduce(
+    work: Dict[Exponent, int],
+    divisors: _Divisors,
     keys: _Keys,
     budget: Budget,
-) -> Dict[Exponent, Fraction]:
-    """Full remainder of a term dict modulo monic divisors (lm, terms).
+) -> Tuple[Dict[Exponent, int], int]:
+    """Full remainder of an integer term dict modulo primitive rows.
 
-    Terms leave the heap largest first, so the remainder's first key is
-    its leading monomial.
+    A term c*x^e whose first divisor is the row (lm, lc, tail) turns
+    `work` into a*work - b*x^(e-lm)*row with a = lc/g, b = c/g and
+    g = gcd(c, lc), which cancels the term without leaving the integers.
+    Returns (r, s): r is s times the remainder over Q, where s is the
+    product of the factors a.  Terms leave the heap largest first, so the
+    first key of r is its leading monomial.  `work` is consumed.
     """
-    work = dict(terms)
-    remainder: Dict[Exponent, Fraction] = {}
+    rows, first = divisors.rows, divisors.first
     heap = [(keys[e], e) for e in work]
     heapq.heapify(heap)
+    left: List[Tuple[Exponent, int, int]] = []  # (e, c, scale when e was left)
+    scale = 1
     while heap:
         _, e = heapq.heappop(heap)
         c = work.pop(e, None)
         if c is None:
             continue
-        for lm, gterms in divisors:
-            if _divides(lm, e):
-                budget.spend()
-                shift = _sub(e, lm)
-                for ge, gc in gterms.items():
-                    if ge == lm:
-                        continue
-                    m = _mul_exp(ge, shift)
-                    prev = work.get(m)
-                    s = (prev or 0) - c * gc
-                    if s:
-                        work[m] = s
-                        if prev is None:
-                            heapq.heappush(heap, (keys[m], m))
-                    else:
-                        work.pop(m, None)
-                break
-        else:
-            remainder[e] = c
-    return remainder
+        k = first(e)
+        if k is None:
+            left.append((e, c, scale))
+            continue
+        budget.spend()
+        lm, lc, tail = rows[k]
+        g = gcd(c, lc)
+        if g != lc:
+            a = lc // g
+            scale *= a
+            for m in work:
+                work[m] *= a
+        c //= g
+        shift = _sub(e, lm)
+        for ge, gc in tail:
+            m = tuple(map(add, ge, shift))
+            prev = work.get(m)
+            if prev is None:
+                work[m] = -c * gc
+                heapq.heappush(heap, (keys[m], m))
+                continue
+            s = prev - c * gc
+            if s:
+                work[m] = s
+            else:
+                del work[m]
+    return {e: c * (scale // s) for e, c, s in left}, scale
 
 
 def normal_form(p: Polynomial, basis, order: Optional[MonomialOrder] = None) -> Polynomial:
@@ -186,11 +275,11 @@ def normal_form(p: Polynomial, basis, order: Optional[MonomialOrder] = None) -> 
         raise PolynomialError("mixed rings")
     b = Budget("normal_form", step_budget())
     keys = _Keys(order, ring.weights)
-    divisors = []
-    for g in gens:
-        lm, lc = _leading(g, keys)
-        divisors.append((lm, {e: c / lc for e, c in g.terms.items()}))
-    return collect(ring, _reduce_terms(p.terms, divisors, keys, b).items())
+    rows = [_row(_integer_terms(g)[0], _leading(g, keys)[0]) for g in gens]
+    work, den = _integer_terms(p)
+    r, scale = _reduce(work, _Divisors(rows), keys, b)
+    den *= scale
+    return collect(ring, ((e, Fraction(c, den)) for e, c in r.items()))
 
 
 @dataclass(frozen=True)
@@ -221,14 +310,15 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
     b = Budget("buchberger", step_budget())
     keys = _Keys(order, w)
 
-    G: List[Polynomial] = []
+    G: List[Row] = []
     lmG: List[Exponent] = []
-    divisors: List[Tuple[Exponent, Dict[Exponent, Fraction]]] = []
+    divisors = _Divisors(G)
     pairs: Dict[Tuple[int, int], Exponent] = {}  # live pair -> lcm of its leading monomials
     queue: List[tuple] = []  # (order key of the lcm, i, j); entries of dropped pairs are stale
 
-    def update(f: Polynomial, lmf: Exponent):
+    def update(f: Row):
         """Gebauer-Moeller update of the pair set with the new basis element."""
+        lmf = f[0]
         n = len(G)
         kept = {}
         for (i, j), lij in pairs.items():
@@ -250,15 +340,14 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
             i = min(new_lcms[L])
             kept[i, n] = L
             heapq.heappush(queue, (order.key(L, w), i, n))
-        G.append(f.scale(1 / f.terms[lmf]))
+        G.append(f)
         lmG.append(lmf)
-        divisors.append((lmf, G[-1].terms))
         pairs.clear()
         pairs.update(kept)
 
     leads = [(_leading(g, keys)[0], g) for g in gens]
     for lm, g in sorted(leads, key=lambda t: keys[t[0]], reverse=True):
-        update(g, lm)
+        update(_row(_integer_terms(g)[0], lm))
 
     while pairs:
         b.spend()
@@ -266,13 +355,23 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
         while (i, j) not in pairs:
             _, i, j = heapq.heappop(queue)
         L = pairs.pop((i, j))
-        shift_i, shift_j = _sub(L, lmG[i]), _sub(L, lmG[j])
-        s_poly = collect(ring, chain(
-            ((_mul_exp(e, shift_i), c) for e, c in G[i].terms.items()),
-            ((_mul_exp(e, shift_j), -c) for e, c in G[j].terms.items())))
-        r = _reduce_terms(s_poly.terms, divisors, keys, b)
+        lm_i, lc_i, tail_i = G[i]
+        lm_j, lc_j, tail_j = G[j]
+        # (lc_j/g)*x^(L-lm_i)*G[i] - (lc_i/g)*x^(L-lm_j)*G[j]; the terms at L cancel
+        g = gcd(lc_i, lc_j)
+        f_i, f_j = lc_j // g, lc_i // g
+        shift_i, shift_j = _sub(L, lm_i), _sub(L, lm_j)
+        work = {_mul_exp(e, shift_i): f_i * c for e, c in tail_i}
+        for e, c in tail_j:
+            m = _mul_exp(e, shift_j)
+            s = work.get(m, 0) - f_j * c
+            if s:
+                work[m] = s
+            else:
+                del work[m]
+        r, _ = _reduce(work, divisors, keys, b)
         if r:
-            update(collect(ring, r.items()), next(iter(r)))
+            update(_row(r, next(iter(r))))
 
     # minimalise
     idx = sorted(range(len(G)), key=lambda k: keys[lmG[k]], reverse=True)
@@ -281,12 +380,16 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
         if all(not _divides(lmG[m], lmG[k]) for m in minimal_idx):
             minimal_idx.append(k)
     # interreduce; no other leading monomial divides lmG[k], so it stays
-    # leading with coefficient 1
+    # leading, and dividing by its coefficient makes the element monic
     reduced: List[Tuple[Exponent, Polynomial]] = []
     for k in minimal_idx:
-        others = [(lmG[m], G[m].terms) for m in minimal_idx if m != k]
-        r = _reduce_terms(G[k].terms, others, keys, b)
-        reduced.append((lmG[k], collect(ring, r.items())))
+        others = [G[m] for m in minimal_idx if m != k]
+        lm, lc, tail = G[k]
+        work = {lm: lc}
+        work.update(tail)
+        r, _ = _reduce(work, _Divisors(others), keys, b)
+        lead = r[lm]
+        reduced.append((lm, collect(ring, ((e, Fraction(c, lead)) for e, c in r.items()))))
     reduced.sort(key=lambda t: keys[t[0]])
     return GroebnerBasis(tuple(g for _, g in reduced), order, True)
 

@@ -163,6 +163,15 @@ def test_multiset_json_round_trip():
     assert DivisorMultiset.from_json(d.to_json()) == d
 
 
+@pytest.mark.parametrize("entry", [("a", 1.5), ("a", 1.0), ("a", True), ("a", "1"),
+                                   (1, 1), (None, 1)])
+def test_multiset_refuses_wrong_types(entry):
+    # a float multiplicity used to be truncated by int(), an int label
+    # turned into a string by str()
+    with pytest.raises(BuildingDataError, match="string label, integer multiplicity"):
+        DivisorMultiset((("b", 1),), (entry,), ())
+
+
 def test_building_data_json_round_trip():
     bd = known_examples("torus")
     assert BuildingData.from_json(bd.to_json()) == bd

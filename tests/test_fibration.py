@@ -116,6 +116,25 @@ def test_chi_bookkeeping():
     assert r6["valid"] and r6["matching_types"] == ["rational"]
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", Fraction(2)])
+def test_fibration_data_refuses_non_integers(value):
+    # a float multiplicity used to be truncated: (2.5, 3) read as (2, 3)
+    for args in ((0, 2, (value, 3)), (value, 2, (2, 3)), (0, value, (2, 3)),
+                 (0, 2, (2, 3), value)):
+        with pytest.raises(FibrationError, match="must be integers"):
+            FibrationData(*args)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, "1"])
+def test_chi_bookkeeping_refuses_non_integers(value):
+    with pytest.raises(FibrationError, match="must be integers"):
+        chi_bookkeeping(2, [value])
+    with pytest.raises(FibrationError, match="must be integers"):
+        chi_bookkeeping(value, [1])
+    with pytest.raises(FibrationError, match="must be integers"):
+        chi_bookkeeping(2, [1, value])
+
+
 def test_stratum_catalog():
     cat = stratum_catalog()
     assert cat["normal_strata_count"] == 7

@@ -45,6 +45,13 @@ def test_rho_options():
         assert len(rho_options(g)) == len(listed) == (g + 1) // 2 + 1
 
 
+@pytest.mark.parametrize("genus", [1.5, 1.0, True, "1", Fraction(1)])
+def test_marked_config_refuses_a_non_integer_genus(genus):
+    # a genus of 1.5 used to be truncated by int() and read as genus 1
+    with pytest.raises(GluingError, match="genus must be an integer"):
+        MarkedConfig(((genus, ("a", "b")),), (("a", "b"),))
+
+
 def test_cusp_classes_table_rows():
     config, _ = builtin_config("four-lines")
     inv = four_lines_involution(*X23)

@@ -56,6 +56,19 @@ def test_normal_form_examples():
     assert normal_form(R3.one(), gb3) == R3.one()
 
 
+def test_normal_form_is_exact_against_a_non_groebner_basis():
+    # [2xy - 3z^2, 3x^2 - yz] is not a Groebner basis.  By hand, in grevlex:
+    # x^2y/5 + x^2 -> (x/10)*g1 leaves 3/10*xz^2 + x^2 -> (1/3)*g2 leaves
+    # 3/10*xz^2 + 1/3*yz.  The remainder is not monic and mixes two scales,
+    # so a remainder that is right only up to a constant factor fails here.
+    x, y, z = R3.var("x"), R3.var("y"), R3.var("z")
+    g1, g2 = 2 * x * y - 3 * z * z, 3 * x * x - y * z
+    p = (x * x * y).scale(Fraction(1, 5)) + x * x
+    r = normal_form(p, [g1, g2])
+    assert r == (x * z * z).scale(Fraction(3, 10)) + (y * z).scale(Fraction(1, 3))
+    assert p - r == x.scale(Fraction(1, 10)) * g1 + g2.scale(Fraction(1, 3))
+
+
 def test_normal_form_idempotent():
     x, y, z = R3.var("x"), R3.var("y"), R3.var("z")
     gb = buchberger([x * y - z * z, x * x - y * z])
@@ -245,3 +258,24 @@ def test_implicitize_elimination_step_count_is_pinned(monkeypatch):
     monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "1007")
     with pytest.raises(BudgetExceeded):
         eliminate(gens, {"u", "v"})
+
+
+def test_grevlex_step_counts_are_pinned(monkeypatch):
+    # Two grevlex computations of the surface-models workload, pinned like
+    # the block-order count above: projective_empty on the divisors of the
+    # bidouble example Z4 takes 17 steps, and poly_gcd(b1, b2) of a canring
+    # model whose x = 0 resultant vanishes takes 9.
+    from stratabench.bidouble import known_examples
+    from stratabench.canring import XY_RING, CanonicalRingModel
+
+    divisors = list(known_examples("Z4").divisors())
+    x, y1, y2 = XY_RING.var("x"), XY_RING.var("y1"), XY_RING.var("y2")
+    model = CanonicalRingModel(XY_RING.zero(), XY_RING.zero(),
+                               y1 * y1 * y2 + x ** 6, y1 ** 3 + x ** 4 * y1)
+    for steps, run, answer in ((17, lambda: projective_empty(divisors), True),
+                               (9, lambda: poly_gcd(model.b1, model.b2), model.ring.one())):
+        monkeypatch.setenv("STRATABENCH_STEP_BUDGET", str(steps))
+        assert run() == answer
+        monkeypatch.setenv("STRATABENCH_STEP_BUDGET", str(steps - 1))
+        with pytest.raises(BudgetExceeded):
+            run()

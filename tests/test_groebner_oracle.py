@@ -5,25 +5,35 @@ from fractions import Fraction
 
 import pytest
 
-from stratabench.groebner import (GREVLEX, buchberger, eliminate, normal_form, poly_gcd,
-                                  resultant)
+from stratabench.groebner import (GREVLEX, MonomialOrder, buchberger, eliminate,
+                                  normal_form, poly_gcd, resultant)
 from stratabench.poly import Polynomial, WeightedRing, scalar_ratio
 
 sp = pytest.importorskip("sympy")
+from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 from sympy.polys.subresultants_qq_zz import sylvester  # noqa: E402
 
 NAMES = ("x", "y", "z")
 
 
-def _random_poly(rng, ring, max_deg=3, homogeneous=False):
-    """Two to four terms with small integer coefficients, degree <= max_deg."""
+def _small(rng):
+    return Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+
+
+def _high_height(rng):
+    """n/d with 1 <= |n|, d <= 10**6, so reductions must scale and remove content."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+
+
+def _random_poly(rng, ring, max_deg=3, homogeneous=False, coeff=_small):
+    """Two to four terms with coefficients from `coeff`, degree <= max_deg."""
     top = rng.randint(1, max_deg)
     terms = {}
     for _ in range(rng.randint(2, 4)):
         e = [0] * ring.nvars
         for _ in range(top if homogeneous else rng.randint(0, top)):
             e[rng.randrange(ring.nvars)] += 1
-        terms[tuple(e)] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+        terms[tuple(e)] = coeff(rng)
     return Polynomial(ring, terms)
 
 
@@ -67,6 +77,34 @@ def test_buchberger_and_normal_form_match_sympy():
             _, remainder = theirs.reduce(_to_sympy(p, symbols).as_expr())
             expected = _terms(sp.Poly(remainder, *symbols, domain="QQ"))
             assert normal_form(p, ours).terms == expected
+
+
+# the block order with the first variable eliminated: grevlex on each block
+BLOCK = MonomialOrder("block-elimination", split=1)
+SYMPY_BLOCK = ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))
+
+
+def test_high_height_coefficients_match_sympy():
+    # coefficients with numerators and denominators up to 10**6, under grevlex
+    # and the block order: the integer rows are scaled by every reduction step
+    # and divided by their content, and the answers must still be exact
+    rng = random.Random(6061)
+    for k in range(10):
+        ring, symbols = _sympy_ring(rng)
+
+        def generator():
+            g = _random_poly(rng, ring, homogeneous=True, coeff=_high_height)
+            return g if k % 2 == 0 else g + _random_poly(rng, ring, max_deg=1, coeff=_high_height)
+
+        gens = [generator() for _ in range(2)]
+        for order, sympy_order in ((GREVLEX, "grevlex"), (BLOCK, SYMPY_BLOCK)):
+            ours = buchberger(gens, order)
+            theirs = sp.groebner([_to_sympy(g, symbols) for g in gens], *symbols,
+                                 order=sympy_order, domain="QQ")
+            assert [g.terms for g in ours] == [_terms(q) for q in theirs.polys]
+            p = _random_poly(rng, ring, coeff=_high_height)
+            _, remainder = theirs.reduce(_to_sympy(p, symbols).as_expr())
+            assert normal_form(p, ours).terms == _terms(sp.Poly(remainder, *symbols, domain="QQ"))
 
 
 def test_eliminate_matches_sympy_lex_elimination_ideal():
