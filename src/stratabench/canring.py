@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import poly
+from . import BudgetExceeded, poly, step_budget
 from .forms import distinct_roots, resultant
 from .groebner import poly_gcd
 from .poly import Polynomial, WeightedRing, rename_into, weighted_exponents
@@ -43,11 +43,20 @@ def ci_hilbert_series(weights: Sequence[int], relation_degrees: Sequence[int],
     This is the Hilbert function of a complete intersection with the
     given generator weights and relation degrees, computed by exact
     integer power-series arithmetic.
+
+    Raises BudgetExceeded, before any arithmetic, when its cost of at
+    most (upto + 1) coefficient updates per weight and per relation
+    exceeds the step budget.
     """
     if upto < 0:
         raise ModelError("upto must be non-negative")
     if any(w < 1 for w in weights) or any(d < 1 for d in relation_degrees):
         raise ModelError("weights and relation degrees must be positive")
+    cost, budget = (len(weights) + len(relation_degrees)) * (upto + 1), step_budget()
+    if cost > budget:
+        raise BudgetExceeded(
+            f"hilbert series: {cost} coefficient updates exceed the step budget "
+            f"of {budget}; raise STRATABENCH_STEP_BUDGET if intended")
     series = [0] * (upto + 1)
     series[0] = 1
     # 1 / (1 - t^w) is a cumulative sum with stride w

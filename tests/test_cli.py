@@ -314,6 +314,34 @@ def test_gluing_over_budget_is_refused_up_front(tmp_path):
     assert len(out.stderr.splitlines()) == 1
 
 
+def test_hilbert_over_budget_is_refused_up_front(capsys):
+    # 3 series factors times 10^7 + 1 coefficients exceed the default budget
+    import time
+
+    start = time.perf_counter()
+    assert dispatch(["hilbert", "--weights=1,1", "--relations=6", "--upto=10000000"]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: hilbert series: 30000003 coefficient updates exceed the step "
+                   "budget of 2000000; raise STRATABENCH_STEP_BUDGET if intended\n")
+
+
+def test_hilbert_charges_the_step_budget(monkeypatch, capsys):
+    # --upto=3 over weights 1,1 and relation 6 costs 3 * 4 = 12 updates
+    argv = ["hilbert", "--weights=1,1", "--relations=6", "--upto=3"]
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "11")
+    assert dispatch(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: hilbert series: 12 coefficient updates exceed the step "
+                          "budget of 11;")
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "12")
+    assert dispatch(argv) == 0
+    assert json.loads(capsys.readouterr().out.split("\n", 1)[1])["evidence"]["series"] == \
+        [1, 2, 3, 4]
+
+
 def test_malformed_step_budget_is_a_usage_error(monkeypatch, capsys):
     for value in ("abc", "-3", "1e3"):
         monkeypatch.setenv("STRATABENCH_STEP_BUDGET", value)

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratabench import linalg
-from stratabench.groebner import (BudgetExceeded, MonomialOrder,
+from stratabench.groebner import (GREVLEX, BudgetExceeded, MonomialOrder, _Packing,
                                   buchberger, eliminate, exact_divide,
                                   leading_monomial, normal_form, poly_gcd,
                                   projective_empty, resultant, spolynomial)
@@ -79,6 +80,27 @@ def test_normal_form_idempotent():
                 Fraction(rng.randint(-5, 5)) for _ in range(4)})
         r = normal_form(p, gb)
         assert normal_form(r, gb) == r
+
+
+def test_normal_form_against_a_basis_repeats_the_generators_answer():
+    # a GroebnerBasis brings its packed rows along; the answer is the one
+    # the same generators give as a plain list, call after call
+    x, y, z = R3.var("x"), R3.var("y"), R3.var("z")
+    rng = random.Random(8)
+    for gens, order in (([x * y - z * z, x * x - y * z], GREVLEX),
+                        ([x - y * y, y * z - 2, z ** 3 - x * y],
+                         MonomialOrder("block-elimination", split=1))):
+        gb = buchberger(gens, order)
+        for _ in range(10):
+            p = Polynomial(R3, {
+                (rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)):
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4)})
+            first = normal_form(p, gb)
+            assert normal_form(p, gb) == first
+            assert normal_form(p, list(gb), order) == first
+    # a polynomial too large for the basis's fields gets wider ones
+    big = x ** 300 * y
+    assert normal_form(big, gb) == normal_form(big, list(gb), gb.order)
 
 
 def test_linear_membership_agrees_with_gaussian_elimination():
@@ -279,3 +301,69 @@ def test_grevlex_step_counts_are_pinned(monkeypatch):
         monkeypatch.setenv("STRATABENCH_STEP_BUDGET", str(steps - 1))
         with pytest.raises(BudgetExceeded):
             run()
+
+
+@st.composite
+def _packing_cases(draw):
+    n = draw(st.integers(1, 5))
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        order = GREVLEX
+    else:
+        order = MonomialOrder("block-elimination", split=draw(st.integers(1, n + 1)))
+    exps = st.tuples(*[st.integers(0, 12)] * n)
+    return order, weights, draw(exps), draw(exps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_packing_cases())
+def test_packed_monomials_follow_the_order_keys(case):
+    order, weights, a, b = case
+    packing = _Packing(order, weights, 11)  # fields hold 1023 > 2 * 5 * 4 * 12
+    pa, pb = packing.pack(a), packing.pack(b)
+    ka, kb = order.key(a, weights), order.key(b, weights)
+    assert (pa < pb) == (ka < kb) and (pa == pb) == (a == b)
+    assert packing.pack(tuple(map(sum, zip(a, b)))) == pa + pb
+    assert packing.unpack(pa) == a and packing.unpack(pb) == b
+    assert packing.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    assert not pa & packing.guard
+
+
+@settings(max_examples=60, deadline=None)
+@given(_packing_cases())
+def test_packed_sums_overflow_into_a_guard_bit(case):
+    # fields of 5 bits hold 0..15 below the guard; every field of a block
+    # is at most its weighted degree, which is one of the fields
+    order, weights, a, b = case
+    packing = _Packing(order, weights, 5)
+    n, split = len(weights), min(order.split, len(weights)) or len(weights)
+
+    def degrees(e):
+        return [sum(x * w for x, w in zip(e[lo:hi], weights[lo:hi]))
+                for lo, hi in ((0, split), (split, n))]
+
+    if max(degrees(a) + degrees(b)) > 15:
+        return
+    total = packing.pack(a) + packing.pack(b)
+    assert bool(total & packing.guard) == (max(degrees(tuple(map(sum, zip(a, b))))) > 15)
+
+
+def test_huge_exponents_stay_exact():
+    R2 = WeightedRing(("x", "y"), (1, 1))
+    y = R2.var("y")
+    f = R2.monomial((2 ** 64, 0)) - y
+    gb = buchberger([f, y * y - 1])
+    assert set(gb.generators) == {f, y * y - 1}
+    assert normal_form(R2.monomial((2 ** 65, 0)), gb) == R2.one()
+
+
+def test_elimination_widens_fields_that_overflow():
+    # u = x^N and u^8 = y give y = x^(8N).  The fields are sized for the
+    # inputs' degree N = 2^40, and x^(8N) overflows them, so the
+    # computation runs again with fields twice as wide.
+    n = 2 ** 40
+    R = WeightedRing(("u", "x", "y"), (1, 1, 1))
+    u, y = R.var("u"), R.var("y")
+    out = eliminate([u - R.monomial((0, n, 0)), u ** 8 - y], {"u"})
+    keep = WeightedRing(("x", "y"), (1, 1))
+    assert out == [keep.monomial((8 * n, 0)) - keep.var("y")]
