@@ -228,6 +228,10 @@ def cmd_s2e(args) -> Tuple[str, dict]:
     except s2e.S2EError as exc:
         raise UsageError(str(exc)) from None
     if args.symbolic:
+        given = [f"--{name}" for name in ("alpha", "beta") if getattr(args, name) is not None]
+        if given:
+            raise UsageError(f"--symbolic takes no {' or '.join(given)}: "
+                             "alpha and beta are ring variables in symbolic mode")
         ctx = s2e.Context(params, symbolic=True)
         gens = s2e.s_generators(ctx)
         thm = s2e.verify_theorem_relations(ctx)
@@ -239,7 +243,8 @@ def cmd_s2e(args) -> Tuple[str, dict]:
             "theorem": thm,
         }
         return "pass", evidence
-    alpha, beta = _fraction(args.alpha), _fraction(args.beta)
+    alpha = Fraction(1) if args.alpha is None else _fraction(args.alpha)
+    beta = Fraction(1) if args.beta is None else _fraction(args.beta)
     if alpha == 0 or beta == 0:
         raise UsageError("invalid glue: alpha and beta must both be nonzero")
     glue = s2e.GluingParams(alpha, beta)
@@ -414,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", nargs="?", default="verify", choices=["verify"])
     p.add_argument("--a", default="1")
     p.add_argument("--b", default="1")
-    p.add_argument("--alpha", default="1")
-    p.add_argument("--beta", default="1")
+    p.add_argument("--alpha", help="gluing parameter, default 1; numeric mode only")
+    p.add_argument("--beta", help="gluing parameter, default 1; numeric mode only")
     p.add_argument("--symbolic", action="store_true")
 
     sub.add_parser("catalog", help="static stratum catalogue")

@@ -4,14 +4,17 @@ Matrices are lists of row lists.  Everything is deterministic: pivots
 are chosen left to right, kernels come out in the canonical RREF
 parametrisation.
 
-`rref` runs fraction-free Gauss-Jordan elimination over Z (in the
-spirit of Bareiss, Math. Comp. 1968).  Each row is a sparse dict
-{column: int} of its nonzero entries, cleared of denominators by their
-lcm.  A row update is row <- (p/g)*row - (f/g)*pivot_row with g =
-gcd(p, f), after which the row is divided by the gcd of its entries,
-so the integers stay small.  Only the final division by the pivot
-entries builds Fractions.  Every row update spends one step of the
-shared step budget, under the stage name "rref".
+One kernel, `_echelon`, runs fraction-free Gauss-Jordan elimination
+over Z (in the spirit of Bareiss, Math. Comp. 1968).  Each row is a
+sparse dict {column: int} of its nonzero entries, cleared of
+denominators by their lcm.  A row update is
+row <- (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), after which the
+row is divided by the gcd of its entries, so the integers stay small.
+Every row update spends one step of the shared step budget, under the
+stage name "rref".  The kernel returns the integer rows and their pivot
+columns; `rank` reads only the pivots, `nullspace` and `solve` build
+only the Fractions they return, and only `rref` builds the dense
+rational RREF.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ def _integer_row(row: Sequence[Fraction]) -> Dict[int, int]:
     denominators, divided by the gcd of the results."""
     pairs = []
     for j, x in enumerate(row):
+        if not x:
+            continue
         if not isinstance(x, (int, Fraction)):
             x = Fraction(x)
-        if x:
-            pairs.append((j, x.numerator, x.denominator))
+        pairs.append((j, x.numerator, x.denominator))
     den = lcm(*(d for _, _, d in pairs))
     return _primitive({j: n * (den // d) for j, n, d in pairs})
 
@@ -44,8 +48,13 @@ def _primitive(row: Dict[int, int]) -> Dict[int, int]:
     return {j: v // g for j, v in row.items()} if g > 1 else row
 
 
-def rref(M: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+def _echelon(M: Sequence[Sequence[Fraction]]) -> Tuple[List[Dict[int, int]], List[int], int]:
+    """Integer reduced echelon form: (rows, pivot columns, column count).
+
+    Row r < len(pivots) has its pivot in column pivots[r] and no other
+    nonzero entry in any pivot column; dividing it by that pivot entry
+    gives row r of the RREF.  The remaining rows are empty.
+    """
     rows = len(M)
     cols = len(M[0]) if rows else 0
     if any(len(row) != cols for row in M):
@@ -81,11 +90,17 @@ def rref(M: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
         r += 1
         if r == rows:
             break
+    return A, pivots, cols
+
+
+def rref(M: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form and the list of pivot columns."""
+    A, pivots, cols = _echelon(M)
     zero = Fraction(0)
     out = []
     for i, row in enumerate(A):
         dense = [zero] * cols
-        if i < r:
+        if i < len(pivots):
             p = row[pivots[i]]
             for j, v in row.items():
                 dense[j] = Fraction(v, p)
@@ -94,22 +109,26 @@ def rref(M: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
 
 
 def rank(M: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(M)[1]) if M else 0
+    return len(_echelon(M)[1]) if M else 0
 
 
 def nullspace(M: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     """Canonical kernel basis (one vector per free column of the RREF)."""
     if not M:
         return []
-    A, pivots = rref(M)
-    cols = len(M[0])
-    free = [c for c in range(cols) if c not in pivots]
+    A, pivots, cols = _echelon(M)
+    pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [zero] * cols
+        v[f] = one
         for r, c in enumerate(pivots):
-            v[c] = -A[r][f]
+            x = A[r].get(f)
+            if x is not None:
+                v[c] = Fraction(-x, A[r][c])
         basis.append(v)
     return basis
 
@@ -121,11 +140,12 @@ def solve(M: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[
     if not M:
         return []
     cols = len(M[0])
-    aug = [list(row) + [Fraction(b)] for row, b in zip(M, rhs)]
-    A, pivots = rref(aug)
-    if cols in pivots:
+    A, pivots, _ = _echelon([list(row) + [b] for row, b in zip(M, rhs)])
+    if pivots and pivots[-1] == cols:
         return None
     x = [Fraction(0)] * cols
     for r, c in enumerate(pivots):
-        x[c] = A[r][cols]
+        b = A[r].get(cols)
+        if b is not None:
+            x[c] = Fraction(b, A[r][c])
     return x

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -110,6 +111,9 @@ class Context:
         if p.ring != self.ring:
             raise S2EError("polynomial from a different context")
         iy1, iy2 = self.iy1, self.iy2
+        if all(e[iy1] < 2 and e[iy2] < 2 for e in p.terms):
+            # already reduced, and the normal form is unique
+            return p
         pairs = []
         for e, c in p.terms.items():
             k1, r1 = divmod(e[iy1], 2)
@@ -295,10 +299,10 @@ def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
     if ctx.glue is None or not ctx.glue.generic:
         raise S2EError("non-generic conductor")
     t4 = ctx.t_generators()[4]
-    s4 = ctx.s_elements()["s4"]
+    minus_s4 = -ctx.s_elements()["s4"]
     basis = invariant_basis(ctx, m)
     lhs = [ctx.nf_mul(p, t4) for p in basis]
-    rhs = [ctx.nf_mul(p, -s4) for p in basis]
+    rhs = [ctx.nf_mul(p, minus_s4) for p in basis]
     M, _ = _coordinates(lhs + rhs)
     ker = linalg.nullspace(M)
     seen_rows: List[List[Fraction]] = []
@@ -386,6 +390,26 @@ def _b2_poly(X, Y1, Y2, a, b, al, be) -> Polynomial:
              + Y1 * Y2 ** 2 * al * al)
 
 
+class _GeneratorSystem:
+    """One image (X, Y1, Y2) of the model generators x, y1, y2, with the
+    normal forms of b1, a2 and b2 there, each built at most once."""
+
+    def __init__(self, ctx: Context, X: Polynomial, Y1: Polynomial, Y2: Polynomial):
+        self.ctx, self.X, self.Y1, self.Y2 = ctx, X, Y1, Y2
+        self.b1 = ctx.normal_form(_b1_poly(X, Y1, Y2, ctx.params.a, ctx.params.b))
+
+    @cached_property
+    def a2(self) -> Polynomial:
+        ctx = self.ctx
+        return ctx.normal_form(_a2_poly(self.X, self.Y1, self.Y2, ctx.alpha, ctx.beta))
+
+    @cached_property
+    def b2(self) -> Polynomial:
+        ctx = self.ctx
+        return ctx.normal_form(_b2_poly(self.X, self.Y1, self.Y2, ctx.params.a,
+                                        ctx.params.b, ctx.alpha, ctx.beta))
+
+
 def verify_theorem_relations(ctx: Context) -> dict:
     """Search the generator assignments realising the model relations.
 
@@ -395,9 +419,12 @@ def verify_theorem_relations(ctx: Context) -> dict:
     (s4,s3), and the equivalent raw system (t0,t2,t1) with z-pair
     (t3,s4) or (s4,t3).  Each candidate gets a z-rescaling z1->l*z1,
     z2->u*z2 solved linearly from normal-form coordinates; success
-    means both relations reduce exactly to zero.  Exactly one
-    assignment is expected to succeed.  A symbolic context runs the same
-    search exactly in Q[alpha, beta] and reports only the success.
+    means both relations reduce exactly to zero.  Each relation part is
+    built once per generator system (b1 always, a2 and b2 only when some
+    assignment of that system passes r1), and each z-square once, so the
+    four assignments share them.  Exactly one assignment is expected to
+    succeed.  A symbolic context runs the same search exactly in
+    Q[alpha, beta] and reports only the success.
     """
     if ctx.alpha is None:
         raise S2EError("gluing parameters required")
@@ -405,19 +432,21 @@ def verify_theorem_relations(ctx: Context) -> dict:
         raise S2EError("non-generic conductor")
     els = s_generators(ctx)
     t = ctx.t_generators()
-    a, b = ctx.params.a, ctx.params.b
-    al, be = ctx.alpha, ctx.beta
+    s_system = _GeneratorSystem(ctx, els["s0"], els["s1"], els["s2"])
+    t_system = _GeneratorSystem(ctx, t[0], t[2], t[1])
+    zs = {"s3": els["s3"], "s4": els["s4"], "t3": t[3]}
+    squares = {k: ctx.normal_form(z * z) for k, z in zs.items()}
 
     candidates = [
-        ("s-system z=(s3,s4)", els["s0"], els["s1"], els["s2"], els["s3"], els["s4"]),
-        ("s-system z=(s4,s3)", els["s0"], els["s1"], els["s2"], els["s4"], els["s3"]),
-        ("t-system z=(t3,s4)", t[0], t[2], t[1], t[3], els["s4"]),
-        ("t-system z=(s4,t3)", t[0], t[2], t[1], els["s4"], t[3]),
+        ("s-system", s_system, "s3", "s4"),
+        ("s-system", s_system, "s4", "s3"),
+        ("t-system", t_system, "t3", "s4"),
+        ("t-system", t_system, "s4", "t3"),
     ]
     results = []
-    for name, X, Y1, Y2, Z1, Z2 in candidates:
-        res = _try_assignment(ctx, X, Y1, Y2, Z1, Z2, a, b, al, be)
-        res["assignment"] = name
+    for label, system, z1, z2 in candidates:
+        res = _try_assignment(ctx, system, zs[z1], squares[z1], squares[z2])
+        res["assignment"] = f"{label} z=({z1},{z2})"
         results.append(res)
     successes = [r for r in results if r["success"]]
     if len(successes) != 1:
@@ -432,20 +461,18 @@ def verify_theorem_relations(ctx: Context) -> dict:
     return {"assignments": results, "succeeding": winner}
 
 
-def _try_assignment(ctx, X, Y1, Y2, Z1, Z2, a, b, al, be) -> dict:
+def _try_assignment(ctx: Context, system: _GeneratorSystem, Z1: Polynomial,
+                    z1sq: Polynomial, z2sq: Polynomial) -> dict:
     nf = ctx.normal_form
-    b1 = nf(_b1_poly(X, Y1, Y2, a, b))
-    z1sq = nf(Z1 * Z1)
+    b1 = system.b1
     # r1: lam2 * z1^2 + b1 = 0
     lam2 = scalar_ratio(-b1, z1sq)
     if lam2 is None or lam2 == 0:
         return {"success": False, "reason": "no z1-rescaling solves r1",
                 "lambda2": None, "mu2": None, "lambda": None}
     # r2: mu2 * z2^2 + lam * (x*z1*a2) + b2 = 0, linear in (mu2, lam)
-    a2 = nf(_a2_poly(X, Y1, Y2, al, be))
-    b2 = nf(_b2_poly(X, Y1, Y2, a, b, al, be))
-    z2sq = nf(Z2 * Z2)
-    cross = nf(X * Z1 * a2)
+    b2 = system.b2
+    cross = nf(system.X * Z1 * system.a2)
     M, _ = _coordinates([z2sq, cross, -b2])
     sol = linalg.solve([row[:2] for row in M], [row[2] for row in M])
     if sol is None:

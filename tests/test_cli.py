@@ -124,6 +124,24 @@ def test_step_budget_caps_rref_in_s2e_verify():
     assert out.stderr.startswith("error: rref: spent the step budget of 20;")
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--alpha=1"], "--alpha"), (["--beta=2"], "--beta"),
+    (["--alpha=1", "--beta=1"], "--alpha or --beta")])
+def test_symbolic_refuses_alpha_and_beta(capsys, flags, named):
+    assert dispatch(["s2e", "verify", "--symbolic"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"usage error: --symbolic takes no {named}: "
+                            "alpha and beta are ring variables in symbolic mode\n")
+
+
+def test_numeric_s2e_defaults_alpha_and_beta_to_one(capsys):
+    assert dispatch(["s2e", "verify", "--alpha=1"]) == 0
+    default = capsys.readouterr().out
+    assert dispatch(["s2e", "verify", "--alpha=1", "--beta=1"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_identity_error_is_one_line(monkeypatch, capsys):
     from stratabench import s2e
 

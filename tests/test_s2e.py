@@ -354,6 +354,16 @@ def test_conductor_m5_rref_work_is_pinned(monkeypatch):
         linalg.rref(M)
 
 
+def test_conductor_m5_pipeline_rref_work_is_pinned(monkeypatch):
+    # the same 130 row updates on the path the pipeline takes, through nullspace
+    from stratabench import BudgetExceeded
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "130")
+    assert len(conductor_vanishing_basis(Context(P_PIN, G11), 5)) == 6
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "129")
+    with pytest.raises(BudgetExceeded, match="^rref: spent the step budget of 129;"):
+        conductor_vanishing_basis(Context(P_PIN, G11), 5)
+
+
 def test_pipeline_normal_form_calls_are_bounded(monkeypatch):
     # generation_check builds each monomial product in t0..t6 once, from a
     # stored product of lower degree: 64 normal forms for upto = 6, not 179
@@ -370,4 +380,57 @@ def test_pipeline_normal_form_calls_are_bounded(monkeypatch):
     assert len(calls) == 64
     calls.clear()
     s2e.pipeline_report(P_PIN, G11)
-    assert len(calls) <= 155
+    assert len(calls) == 151
+    # the theorem search builds b1 once per generator system and each
+    # z-square once: 10 normal forms, plus 3 for the two identities
+    calls.clear()
+    verify_theorem_relations(Context(P_PIN, symbolic=True))
+    assert len(calls) == 13
+
+
+def _evidence_digest(seed=14, count=12, symbolic=3):
+    """sha256 over the exit code, stdout and stderr of `s2e verify` for
+    `count` seeded numeric tuples and `symbolic` seeded `--symbolic` runs."""
+    import contextlib
+    import hashlib
+    import io
+
+    from stratabench.cli import dispatch
+
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+    def params():
+        while True:
+            a, b = rational(), rational()
+            if 4 * a ** 3 + 27 * b ** 2 != 0:
+                return a, b
+
+    argvs = []
+    for _ in range(count):
+        (a, b), alpha, beta = params(), 0, 0
+        while alpha == 0 or beta == 0:
+            alpha, beta = rational(), rational()
+        argvs.append(["s2e", "verify", f"--a={a}", f"--b={b}",
+                      f"--alpha={alpha}", f"--beta={beta}"])
+    for _ in range(symbolic):
+        a, b = params()
+        argvs.append(["s2e", "verify", f"--a={a}", f"--b={b}", "--symbolic"])
+    h = hashlib.sha256()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = dispatch(argv)
+        h.update(f"{' '.join(argv)} {rc}\n{out.getvalue()}{err.getvalue()}".encode())
+    return h.hexdigest()
+
+
+# recorded before linalg moved to one integer elimination kernel
+GOLDEN_EVIDENCE_SHA256 = "c1d7369ed76dd7ab1a74184e6877d7144c2ec27a76b331964e15875fcdf8c330"
+
+
+def test_s2e_evidence_golden_digest():
+    # any changed byte of the report, or of an error message, changes the digest
+    assert _evidence_digest() == GOLDEN_EVIDENCE_SHA256
