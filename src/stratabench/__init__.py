@@ -6,10 +6,12 @@ pipeline.
 The step budget bounds the Groebner engine, the row updates of exact
 RREF and gluing enumeration.  It lives here so that linear algebra and
 gluing can consult it without depending on the Groebner engine.  So do
-the JSON type checks that the document loaders share.
+the JSON type checks that the document loaders share, and the exact
+rational check of the parameter constructors.
 """
 
 import os
+from fractions import Fraction
 from typing import Optional
 
 __version__ = "0.1.0"
@@ -57,6 +59,14 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise TypeError(f"{what} must be an integer, got {value!r:.40}")
     return value
+
+
+def rational(value, what: str, error: type) -> Fraction:
+    """`value` as a Fraction; `error` for a float, which holds a binary
+    fraction rather than the decimal it was written as, or a boolean."""
+    if isinstance(value, (float, bool)):
+        raise error(f"{what} must be an exact rational, got {value!r:.40}")
+    return Fraction(value)
 
 
 def json_list(value, what: str, kind: Optional[type] = None,

@@ -56,6 +56,10 @@ def _load(path: str, from_json: Callable[[dict], T]) -> T:
             doc = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"malformed JSON in {path}: {exc.msg} at line {exc.lineno}, "
@@ -474,8 +478,12 @@ def dispatch(argv) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"usage error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
         print(f"{args.subcommand}: {verdict} (report written to {args.output})")
     else:
         print(f"{args.subcommand}: {verdict}")

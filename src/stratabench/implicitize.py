@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+from . import rational
 from .forms import (PLANE, form_coeffs, initial_form, is_squarefree_form, localize,
                     vanishing_order)
 from .groebner import eliminate
@@ -45,7 +46,7 @@ class ParametrizationInput:
     b: Fraction
 
     def __post_init__(self):
-        a, b = Fraction(self.a), Fraction(self.b)
+        a, b = rational(self.a, "a", ImplicitizeError), rational(self.b, "b", ImplicitizeError)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if a in (0, 1) or b in (0, 1) or a == b or a == b * b:

@@ -12,6 +12,14 @@ element of the m-th graded piece of the invariant ring has bidegree
 (m,m).  The factor swap sigma exchanges the two variable groups.  The
 gluing parameters alpha, beta can be rational numbers or, in symbolic
 mode, two extra ring variables (degree 0 for the bidegree bookkeeping).
+
+Normal forms run on integer rows (see `_Packing`): the weighted
+rescaling z_i -> lam*z_i with lam = lcm(den a, den b) is a ring
+isomorphism onto the curve with integral coefficients lam^4*a and
+lam^6*b, so rewriting y_i^2 there never brings in a denominator.  The
+rescaling and the denominators are undone only where an answer leaves:
+in the Polynomials returned, and on kernel vectors, where z_i -> lam*z_i
+divides the coordinate of an invariant of z-degree d by lam^d.
 """
 
 from __future__ import annotations
@@ -19,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import comb, lcm
+from operator import mul
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from . import linalg
+from . import linalg, rational
 from .poly import Polynomial, WeightedRing, collect, scalar_ratio, to_json, weighted_exponents
 
 GEOM_VARS = ("z1", "x1", "y1", "z2", "x2", "y2")
@@ -31,6 +40,9 @@ FACTOR2_WEIGHTS = (0, 0, 0, 1, 2, 3)
 
 NUMERIC_RING = WeightedRing(GEOM_VARS, (1, 2, 3, 1, 2, 3))
 SYMBOLIC_RING = WeightedRing(GEOM_VARS + ("al", "be"), (1, 2, 3, 1, 2, 3, 1, 1))
+
+# a row maps packed monomials to nonzero int coefficients
+Row = Dict[int, int]
 
 
 class S2EError(ValueError):
@@ -45,8 +57,8 @@ class WeierstrassParams:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "a", rational(self.a, "a", S2EError))
+        object.__setattr__(self, "b", rational(self.b, "b", S2EError))
         if 4 * self.a ** 3 + 27 * self.b ** 2 == 0:
             raise S2EError("singular Weierstrass equation: 4a^3 + 27b^2 = 0")
 
@@ -59,14 +71,123 @@ class GluingParams:
     beta: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
+        object.__setattr__(self, "alpha", rational(self.alpha, "alpha", S2EError))
+        object.__setattr__(self, "beta", rational(self.beta, "beta", S2EError))
         if self.alpha == 0 and self.beta == 0:
             raise S2EError("(alpha, beta) must not both vanish")
 
     @property
     def generic(self) -> bool:
         return self.alpha != 0 and self.beta != 0
+
+
+class _Packing:
+    """A context's monomials as ints, and the normal-form kernel on rows.
+
+    A packed monomial holds the exponents in fields of `width` bits, the
+    first ring variable most significant, so integer order is exponent
+    tuple order and the product of monomials is the sum of their ints.
+    No exponent of a term exceeds its weighted degree, and rewriting
+    y_i^2 keeps each term's bidegree, so a width that holds the largest
+    weighted degree of the input holds every monomial the kernel makes.
+
+    A row here stands for its image under z_i -> lam*z_i: the curve there
+    has the integral coefficients A = lam^4*a and B = lam^6*b.
+    """
+
+    __slots__ = ("ring", "lam", "A", "B", "width", "mask", "units", "shifts",
+                 "ymask", "high", "factor2", "_rhs")
+
+    def __init__(self, ring: WeightedRing, params: WeierstrassParams, width: int):
+        a, b = params.a, params.b
+        lam = lcm(a.denominator, b.denominator)
+        self.ring, self.lam, self.width = ring, lam, width
+        self.A = a.numerator * (lam ** 4 // a.denominator)
+        self.B = b.numerator * (lam ** 6 // b.denominator)
+        n = ring.nvars
+        self.mask = (1 << width) - 1
+        self.shifts = tuple(width * (n - 1 - i) for i in range(n))
+        self.units = tuple(1 << s for s in self.shifts)
+        y1, y2 = self.shifts[2], self.shifts[5]
+        self.ymask = self.mask << y1 | self.mask << y2
+        # the bits of a y-field that are set only when its exponent is at least 2
+        self.high = self.ymask ^ (1 << y1 | 1 << y2)
+        self.factor2 = sum(self.mask << s for s in self.shifts[3:6])
+        # y-part of a monomial -> its rewrite, a y-free row times y1^r1*y2^r2
+        self._rhs: Dict[int, Row] = {}
+
+    def pack_exponent(self, e: Sequence[int]) -> int:
+        return sum(map(mul, e, self.units))
+
+    def pack(self, p: Polynomial) -> Tuple[Row, int]:
+        """(row, den) with row/den the image of p under z_i -> lam*z_i."""
+        if p.ring != self.ring:
+            raise S2EError("polynomial from a different context")
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        lam, units = self.lam, self.units
+        return {sum(map(mul, e, units)):
+                c.numerator * (den // c.denominator) * lam ** (e[0] + e[3])
+                for e, c in p.terms.items()}, den
+
+    def unpack(self, row: Mapping[int, int], den: int = 1) -> Polynomial:
+        """The polynomial whose image under z_i -> lam*z_i is row/den."""
+        shifts, mask, lam = self.shifts, self.mask, self.lam
+        out = []
+        for m, c in row.items():
+            e = tuple(m >> s & mask for s in shifts)
+            out.append((e, Fraction(c, den * lam ** (e[0] + e[3]))))
+        return collect(self.ring, out)
+
+    def reduce(self, row: Row, by: Optional[Row] = None) -> Row:
+        """The normal form of row*by (of row alone by default), multiplied
+        and reduced in one pass; an already reduced row comes back as is.
+
+        y1^(2*k1+r1) * y2^(2*k2+r2) becomes y1^r1 * y2^r2 * rhs1^k1 * rhs2^k2;
+        rhs1 and rhs2 are y-free, so one pass leaves every y-exponent at most 1.
+        """
+        if by is None:
+            if not any(m & self.high for m in row):
+                return row
+            by = {0: 1}
+        ymask, rhs = self.ymask, self._rhs
+        out: Row = {}
+        get = out.get
+        for m1, c1 in row.items():
+            for m2, c2 in by.items():
+                m = m1 + m2
+                y = m & ymask
+                rewrite = rhs.get(y) or self._rewrite(y)
+                m -= y
+                c = c1 * c2
+                for d, k in rewrite.items():
+                    t = m + d
+                    out[t] = get(t, 0) + c * k
+        return {m: c for m, c in out.items() if c}
+
+    def _rewrite(self, y: int) -> Row:
+        """What the y-part y = y1^(2*k1+r1) * y2^(2*k2+r2) rewrites to; cached."""
+        mask, sh = self.mask, self.shifts
+        k1, r1 = divmod(y >> sh[2] & mask, 2)
+        k2, r2 = divmod(y >> sh[5] & mask, 2)
+        rest = r1 * self.units[2] + r2 * self.units[5]
+        p2 = self._rhs_power(k2, 3)
+        row = self._rhs[y] = {rest + m1 + m2: c1 * c2
+                              for m1, c1 in self._rhs_power(k1, 0).items()
+                              for m2, c2 in p2.items()}
+        return row
+
+    def _rhs_power(self, k: int, first: int) -> Row:
+        """(x^3 + A*x*z^4 + B*z^6)^k in the factor whose z is variable
+        `first`, by the multinomial theorem over (x^3)^i (A*x*z^4)^j (B*z^6)^l."""
+        z, x = self.units[first], self.units[first + 1]
+        A, B = self.A, self.B
+        out: Row = {}
+        for j in range(k + 1):
+            for l in range(k - j + 1):
+                c = comb(k, j) * comb(k - j, l) * A ** j * B ** l
+                m = (3 * (k - j - l) + j) * x + (4 * j + 6 * l) * z
+                out[m] = out.get(m, 0) + c
+        return {m: c for m, c in out.items() if c}
 
 
 class Context:
@@ -87,48 +208,47 @@ class Context:
             self.beta = R.const(glue.beta)
         else:
             self.alpha = self.beta = None
-        z1, x1, y1 = R.var("z1"), R.var("x1"), R.var("y1")
-        z2, x2, y2 = R.var("z2"), R.var("x2"), R.var("y2")
-        a, b = params.a, params.b
-        # y_i^2 rewrites to these
-        self.rhs1 = x1 ** 3 + x1 * z1 ** 4 * a + z1 ** 6 * b
-        self.rhs2 = x2 ** 3 + x2 * z2 ** 4 * a + z2 ** 6 * b
-        # (k1, k2) -> term map of rhs1^k1 * rhs2^k2
-        self._rhs_terms: Dict[Tuple[int, int], Dict[tuple, Fraction]] = {}
         self.iy1 = R.index("y1")
         self.iy2 = R.index("y2")
+        # field width -> packing, made on first use
+        self._packings: Dict[int, _Packing] = {}
         # t_generators, s_elements and s_generators, built on first use
         self._t = self._s = self._identities = None
+
+    @cached_property
+    def rhs1(self) -> Polynomial:
+        """What y1^2 rewrites to."""
+        R, a, b = self.ring, self.params.a, self.params.b
+        x1, z1 = R.var("x1"), R.var("z1")
+        return x1 ** 3 + x1 * z1 ** 4 * a + z1 ** 6 * b
+
+    @cached_property
+    def rhs2(self) -> Polynomial:
+        """What y2^2 rewrites to."""
+        return self.swap_factors(self.rhs1)
+
+    def _packing(self, bound: int) -> _Packing:
+        """The packing whose fields hold every exponent up to `bound`."""
+        width = max(8, bound.bit_length())
+        packing = self._packings.get(width)
+        if packing is None:
+            packing = self._packings[width] = _Packing(self.ring, self.params, width)
+        return packing
 
     # -- normal form -----------------------------------------------------
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        """Unique representative with y-exponents at most 1.
-
-        y1^(2*k1+r1) * y2^(2*k2+r2) becomes y1^r1 * y2^r2 * rhs1^k1 * rhs2^k2;
-        rhs1 and rhs2 are y-free, so one pass leaves every y-exponent at most 1.
-        """
-        if p.ring != self.ring:
-            raise S2EError("polynomial from a different context")
-        iy1, iy2 = self.iy1, self.iy2
-        if all(e[iy1] < 2 and e[iy2] < 2 for e in p.terms):
-            # already reduced, and the normal form is unique
-            return p
-        pairs = []
-        for e, c in p.terms.items():
-            k1, r1 = divmod(e[iy1], 2)
-            k2, r2 = divmod(e[iy2], 2)
-            base = list(e)
-            base[iy1] = r1
-            base[iy2] = r2
-            rhs = self._rhs_terms.get((k1, k2))
-            if rhs is None:
-                rhs = self._rhs_terms[k1, k2] = (self.rhs1 ** k1 * self.rhs2 ** k2).terms
-            pairs.extend((tuple(map(add, base, d_e)), c * d) for d_e, d in rhs.items())
-        return collect(self.ring, pairs)
+        """Unique representative with y-exponents at most 1."""
+        P = self._packing(p.max_weighted_degree())
+        row, den = P.pack(p)
+        out = P.reduce(row)
+        # already reduced, and the normal form is unique
+        return p if out is row else P.unpack(out, den)
 
     def nf_mul(self, p: Polynomial, q: Polynomial) -> Polynomial:
-        return self.normal_form(p * q)
+        P = self._packing(p.max_weighted_degree() + q.max_weighted_degree())
+        (rp, dp), (rq, dq) = P.pack(p), P.pack(q)
+        return P.unpack(P.reduce(rp, rq), dp * dq)
 
     def swap_factors(self, p: Polynomial) -> Polynomial:
         """The involution sigma exchanging the two elliptic-curve factors."""
@@ -215,37 +335,57 @@ def factor_basis(m: int) -> List[Tuple[int, int, int]]:
 def invariant_basis(ctx: Context, m: int) -> List[Polynomial]:
     """Basis of the sigma-invariants of bidegree (m,m): the elements
     v_i (x) v_i and v_i (x) v_j + v_j (x) v_i.  Size m(m+1)/2."""
+    one = Fraction(1)
+    return [collect(ctx.ring, ((e, one) for e in exps))
+            for exps in _invariant_exponents(ctx, m)]
+
+
+def _invariant_exponents(ctx: Context, m: int) -> List[Tuple[tuple, ...]]:
+    """The exponent vectors of each invariant_basis element, in order."""
     if not 1 <= m <= 8:
         raise S2EError("m out of range (1..8)")
     mons = factor_basis(m)
-    R = ctx.ring
-    pad = (0,) * (R.nvars - 6)
-    out = []
-    for p in range(len(mons)):
-        i, j, k = mons[p]
-        for q in range(p, len(mons)):
-            i2, j2, k2 = mons[q]
-            e1 = (i, j, k, i2, j2, k2) + pad
-            if p == q:
-                out.append(R.monomial(e1))
-            else:
-                e2 = (i2, j2, k2, i, j, k) + pad
-                out.append(R.monomial(e1) + R.monomial(e2))
-    return out
+    pad = (0,) * (ctx.ring.nvars - 6)
+    return [(u + v + pad,) if u == v else (u + v + pad, v + u + pad)
+            for p, u in enumerate(mons) for v in mons[p:]]
+
+
+def _invariant_rows(P: _Packing, exps: Sequence[Tuple[tuple, ...]]) -> List[Row]:
+    """The invariants as rows of their own coefficients, all 1: row j is
+    the image under z_i -> lam*z_i of invariant j divided by lam^d, d its
+    z-degree (see `_unscale`)."""
+    return [{P.pack_exponent(e): 1 for e in es} for es in exps]
+
+
+def _unscale(u: Sequence[Fraction], exps: Sequence[Tuple[tuple, ...]],
+             lam: int) -> List[Fraction]:
+    """A kernel vector u of a system in `_invariant_rows`, as a vector of
+    coefficients of the invariants themselves: u_j / lam^d_j, d_j the
+    z-degree of invariant j, times the scalar that keeps the last nonzero
+    entry.  A canonical kernel vector stays canonical: that entry is its
+    free one, equal to 1."""
+    f = next((j for j in reversed(range(len(u))) if u[j]), None)
+    if lam == 1 or f is None:
+        return list(u)
+    zdeg = [es[0][0] + es[0][3] for es in exps]
+    lam = Fraction(lam)
+    return [x * lam ** (zdeg[f] - d) if x else x for x, d in zip(u, zdeg)]
 
 
 # -- coordinates --------------------------------------------------------------
 
 
-def _coordinates(polys: Sequence[Polynomial]):
-    """Coefficient matrix of polynomials w.r.t. their joint monomial support.
+def _coordinates(rows: Sequence[Mapping]):
+    """Coefficient matrix of rows (or Polynomial term maps) w.r.t. their
+    joint monomial support.
 
-    Returns (matrix, monomials); rows are indexed by monomials, columns
-    by the input polynomials.  Absent monomials are the int 0, which
-    `linalg` reads without building a Fraction.
+    Returns (matrix, monomials); matrix rows are indexed by monomials,
+    columns by the inputs.  Packed monomials sort as their exponent
+    tuples do.  Absent monomials are the int 0, which `linalg` reads
+    without building a Fraction.
     """
-    support = sorted(set().union(*[set(p.terms) for p in polys])) if polys else []
-    M = [[p.terms.get(mono, 0) for p in polys] for mono in support]
+    support = sorted(set().union(*rows)) if rows else []
+    M = [[r.get(mono, 0) for r in rows] for mono in support]
     return M, support
 
 
@@ -261,27 +401,30 @@ def antidiagonal_kernel(ctx: Context, m: int) -> List[Polynomial]:
     """
     if not 1 <= m <= 6:
         raise S2EError("m out of range (1..6)")
-    basis = invariant_basis(ctx, m)
-    restricted = [_restrict_antidiagonal(ctx, p) for p in basis]
-    M, _ = _coordinates(restricted)
-    ker = linalg.nullspace(M) if M else [
-        [Fraction(1 if i == j else 0) for j in range(len(basis))]
-        for i in range(len(basis))]
-    return [_combine(ctx, v, basis) for v in ker]
+    exps = _invariant_exponents(ctx, m)
+    P = ctx._packing(2 * m)
+    M, _ = _coordinates([_restrict_antidiagonal(P, r) for r in _invariant_rows(P, exps)])
+    ker = [_unscale(v, exps, P.lam) for v in linalg.nullspace(M)] if M else [
+        [Fraction(1 if i == j else 0) for j in range(len(exps))]
+        for i in range(len(exps))]
+    return [_combine(ctx, v, exps) for v in ker]
 
 
 def _combine(ctx: Context, coeffs: Sequence[Fraction],
-             basis: Sequence[Polynomial]) -> Polynomial:
-    """The linear combination sum(c * p) of basis elements."""
-    return collect(ctx.ring, ((e, c * v) for c, p in zip(coeffs, basis) if c
-                              for e, v in p.terms.items()))
+             exps: Sequence[Tuple[tuple, ...]]) -> Polynomial:
+    """The linear combination sum(c * p) of invariant_basis elements."""
+    return collect(ctx.ring, ((e, c) for c, es in zip(coeffs, exps) if c for e in es))
 
 
-def _restrict_antidiagonal(ctx: Context, p: Polynomial) -> Polynomial:
-    folded = collect(ctx.ring, (
-        ((e[0] + e[3], e[1] + e[4], e[2] + e[5], 0, 0, 0) + e[6:], -c if e[5] % 2 else c)
-        for e, c in p.terms.items()))
-    return ctx.normal_form(folded)
+def _restrict_antidiagonal(P: _Packing, row: Row) -> Row:
+    """(z2,x2,y2) -> (z1,x1,-y1), then reduced."""
+    f2, up, y2 = P.factor2, 3 * P.width, P.shifts[5]
+    folded: Row = {}
+    for m, c in row.items():
+        g = m & f2
+        t = m - g + (g << up)
+        folded[t] = folded.get(t, 0) + (-c if m >> y2 & 1 else c)
+    return P.reduce({m: c for m, c in folded.items() if c})
 
 
 def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
@@ -298,12 +441,13 @@ def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
         raise S2EError("conductor basis needs numeric gluing parameters")
     if ctx.glue is None or not ctx.glue.generic:
         raise S2EError("non-generic conductor")
-    t4 = ctx.t_generators()[4]
-    minus_s4 = -ctx.s_elements()["s4"]
-    basis = invariant_basis(ctx, m)
-    lhs = [ctx.nf_mul(p, t4) for p in basis]
-    rhs = [ctx.nf_mul(p, minus_s4) for p in basis]
-    M, _ = _coordinates(lhs + rhs)
+    exps = _invariant_exponents(ctx, m)
+    P = ctx._packing(2 * m + 6)
+    t4, _ = P.pack(ctx.t_generators()[4])
+    minus_s4, _ = P.pack(-ctx.s_elements()["s4"])
+    basis = _invariant_rows(P, exps)
+    M, _ = _coordinates([P.reduce(p, t4) for p in basis]
+                        + [P.reduce(p, minus_s4) for p in basis])
     ker = linalg.nullspace(M)
     seen_rows: List[List[Fraction]] = []
     for v in ker:
@@ -311,10 +455,12 @@ def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
         if not any(coeffs):
             # would mean s4*h = 0 with h != 0; impossible in a domain
             raise S2EError("degenerate conductor system")
-        seen_rows.append(list(coeffs))
+        # a nonzero multiple of the p-projection before the rescaling; the RREF
+        # below does not see the multiple
+        seen_rows.append(_unscale(coeffs, exps, P.lam))
     # canonicalise the p-projection
     reduced, pivots = linalg.rref(seen_rows) if seen_rows else ([], [])
-    return [_combine(ctx, reduced[r], basis) for r in range(len(pivots))]
+    return [_combine(ctx, reduced[r], exps) for r in range(len(pivots))]
 
 
 class IdentityError(RuntimeError):
@@ -473,7 +619,7 @@ def _try_assignment(ctx: Context, system: _GeneratorSystem, Z1: Polynomial,
     # r2: mu2 * z2^2 + lam * (x*z1*a2) + b2 = 0, linear in (mu2, lam)
     b2 = system.b2
     cross = nf(system.X * Z1 * system.a2)
-    M, _ = _coordinates([z2sq, cross, -b2])
+    M, _ = _coordinates([z2sq.terms, cross.terms, (-b2).terms])
     sol = linalg.solve([row[:2] for row in M], [row[2] for row in M])
     if sol is None:
         return {"success": False, "reason": "r2 has no (mu^2, lambda) solution",
@@ -497,27 +643,31 @@ def generation_check(ctx: Context, upto: int,
     if upto > 6:
         raise S2EError("upto must be at most 6")
     gens = list(generators) if generators is not None else list(ctx.t_generators())
+    # a product of generators has at most `upto` factors
+    P = ctx._packing(upto * max((g.max_weighted_degree() for g in gens), default=0))
     # exponent vector -> normal form of that monomial in the generators;
     # each product is a stored one of lower degree times one generator
-    products: Dict[tuple, Polynomial] = {}
-    degs = []
+    products: Dict[tuple, Row] = {}
+    rows, degs = [], []
     for k, g in enumerate(gens):
-        p = ctx.normal_form(g)
-        d = ctx.bidegree(p)
+        row = P.reduce(P.pack(g)[0])
+        d = ctx.bidegree(P.unpack(row))
         if d == "inhomogeneous" or d[0] != d[1] or d[0] < 1:
             raise S2EError("generators must have positive diagonal bidegree")
         degs.append(d[0])
-        products[tuple(int(i == k) for i in range(len(gens)))] = p
+        rows.append(row)
+        products[tuple(int(i == k) for i in range(len(gens)))] = row
     for m in range(1, upto + 1):
         prods = []
         for exps in weighted_exponents(degs, m):
-            p = products.get(exps)
-            if p is None:
+            row = products.get(exps)
+            if row is None:
                 k = next(i for i, e in enumerate(exps) if e)
                 lower = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
-                p = products[exps] = ctx.nf_mul(products[lower], gens[k])
-            prods.append(p)
-        M, _ = _coordinates(prods) if prods else ([], [])
+                row = products[exps] = P.reduce(products[lower], rows[k])
+            prods.append(row)
+        M, _ = _coordinates(prods)
+        # rescaling rows and columns by nonzero scalars keeps the rank
         if linalg.rank(M) != m * (m + 1) // 2:
             return False
     return True
@@ -529,7 +679,9 @@ def generation_check(ctx: Context, upto: int,
 def pipeline_report(params: WeierstrassParams, glue: GluingParams) -> dict:
     """Everything the verification needs for one parameter tuple."""
     ctx = Context(params, glue)
-    dims = {m: len(invariant_basis(ctx, m)) for m in range(1, 7)}
+    # invariant_basis has one element per pair of factor_basis monomials
+    sizes = {m: len(factor_basis(m)) for m in range(1, 7)}
+    dims = {m: n * (n + 1) // 2 for m, n in sizes.items()}
     anti3 = antidiagonal_kernel(ctx, 3)
     cond = {m: conductor_vanishing_basis(ctx, m) for m in range(2, 6)}
     gens = s_generators(ctx)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -413,3 +414,34 @@ def test_one_parser_gives_the_reports_of_fresh_parsers(monkeypatch, capsys):
     assert len(builds) == 1
     monkeypatch.setattr(cli, "_parser", build)
     assert shared == reports()
+
+
+def _refuse_open(file, *args, **kwargs):
+    raise PermissionError(errno.EACCES, "Permission denied", file)
+
+
+@pytest.mark.parametrize("case", ["output-missing-dir", "output-is-dir", "model-is-dir",
+                                  "model-unreadable", "model-not-utf8"])
+def test_file_errors_are_one_usage_line(tmp_path, monkeypatch, capsys, case):
+    from stratabench import cli
+    model = tmp_path / "model.json"
+    model.write_text("{}", encoding="utf-8")
+    if case == "output-missing-dir":
+        path, argv = tmp_path / "missing" / "x.json", ["--output", "PATH", "catalog"]
+    elif case == "output-is-dir":
+        path, argv = tmp_path, ["--output", "PATH", "catalog"]
+    elif case == "model-is-dir":
+        path, argv = tmp_path, ["canring", "--model", "PATH"]
+    elif case == "model-unreadable":
+        # a permission bit does not stop root, so the refusal is simulated
+        path, argv = model, ["canring", "--model", "PATH"]
+        monkeypatch.setattr(cli, "open", _refuse_open, raising=False)
+    else:
+        path, argv = model, ["canring", "--model", "PATH"]
+        model.write_bytes(b'{"x": "\xff\xfe"}')
+    code = dispatch([str(path) if a == "PATH" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert out == ""

@@ -181,3 +181,13 @@ GOLDEN_EVIDENCE_SHA256 = "d366d7aae81ee0f6d8139502aa84702e3499f1c9fd4ec954cebef9
 def test_implicitize_evidence_golden_digest():
     # any changed byte of the report, or of an error message, changes the digest
     assert _evidence_digest() == GOLDEN_EVIDENCE_SHA256
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False])
+@pytest.mark.parametrize("slot", ["a", "b"])
+def test_parameters_refuse_floats_and_bools(slot, value):
+    # 0.1 would be read as 3602879701896397/36028797018963968
+    args = {"a": Fraction(2), "b": Fraction(3), slot: value}
+    with pytest.raises(ImplicitizeError, match=f"^{slot} must be an exact rational"):
+        ParametrizationInput(**args)
+    assert ParametrizationInput("2/5", 3).a == Fraction(2, 5)

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stratabench import groebner, linalg
+from stratabench import groebner, linalg, s2e
 from stratabench.s2e import (Context, GluingParams, IdentityError, S2EError,
                              WeierstrassParams, antidiagonal_kernel,
                              conductor_vanishing_basis, factor_basis,
@@ -27,6 +28,20 @@ def test_params_validation():
         GluingParams(Fraction(0), Fraction(0))
     assert not GluingParams(Fraction(0), Fraction(1)).generic
     assert GluingParams(Fraction(2), Fraction(3)).generic
+
+
+@pytest.mark.parametrize("value", [0.1, 2.0, True, False])
+@pytest.mark.parametrize("cls, slot", [(WeierstrassParams, "a"), (WeierstrassParams, "b"),
+                                       (GluingParams, "alpha"), (GluingParams, "beta")])
+def test_params_refuse_floats_and_bools(cls, slot, value):
+    # 0.1 would be read as 3602879701896397/36028797018963968, and under
+    # z_i -> lam*z_i that makes lam about 2^55
+    args = dict.fromkeys(cls.__dataclass_fields__, Fraction(2))
+    args[slot] = value
+    with pytest.raises(S2EError, match=f"^{slot} must be an exact rational"):
+        cls(**args)
+    args[slot] = "1/10"
+    assert getattr(cls(**args), slot) == Fraction(1, 10)
 
 
 def test_normal_form_rewrites():
@@ -89,6 +104,45 @@ def test_normal_form_is_the_groebner_remainder(symbolic, terms):
                              ctx.ring)
 
 
+# coprime denominators in a and b: the kernel rescales z_i by lam = 60 * 49
+DIFF_PARAMS = WeierstrassParams(Fraction(37, 60), Fraction(-11, 49))
+DIFF_CONTEXTS = [Context(DIFF_PARAMS, GluingParams(Fraction(7, 9), Fraction(-5, 4))),
+                 Context(DIFF_PARAMS, symbolic=True)]
+DIFF_EXPONENTS = st.tuples(*(st.integers(0, 3 if i in (2, 5) else 2) for i in range(8)))
+DIFF_TERMS = st.lists(st.tuples(DIFF_EXPONENTS, st.fractions(max_denominator=90)),
+                      min_size=1, max_size=3)
+# z1^300 and x2^257 need fields wider than 8 bits; y1^21 brings in rhs1^10
+WIDE = [((300, 0, 21, 0, 257, 3, 0, 0), Fraction(-7, 13))]
+
+
+def _reduce_by_definition(ctx, p):
+    """Rewrite one y_i^2 of one term as x_i^3 + a*x_i*z_i^4 + b*z_i^6, in
+    the coordinates of p, until no y-exponent exceeds 1."""
+    R, a, b = ctx.ring, ctx.params.a, ctx.params.b
+    rhs = {R.index(y): R.var(x) ** 3 + R.var(x) * R.var(z) ** 4 * a + R.var(z) ** 6 * b
+           for z, x, y in (("z1", "x1", "y1"), ("z2", "x2", "y2"))}
+    while True:
+        hit = next(((e, c, i) for e, c in p.terms.items() for i in rhs if e[i] >= 2), None)
+        if hit is None:
+            return p
+        e, c, i = hit
+        lower = e[:i] + (e[i] - 2,) + e[i + 1:]
+        p = p - R.monomial(e, c) + R.monomial(lower, c) * rhs[i]
+
+
+@settings(max_examples=40, deadline=None)
+@given(symbolic=st.booleans(), p_terms=DIFF_TERMS, q_terms=DIFF_TERMS)
+@example(symbolic=False, p_terms=WIDE, q_terms=[((0,) * 8, Fraction(1))])
+@example(symbolic=True, p_terms=WIDE, q_terms=[((1, 0, 1, 0, 0, 1, 2, 1), Fraction(3, 8))])
+def test_kernel_matches_the_definition(symbolic, p_terms, q_terms):
+    ctx = DIFF_CONTEXTS[symbolic]
+    n = ctx.ring.nvars
+    p = Polynomial(ctx.ring, {e[:n]: c for e, c in p_terms})
+    q = Polynomial(ctx.ring, {e[:n]: c for e, c in q_terms})
+    assert ctx.normal_form(p) == _reduce_by_definition(ctx, p)
+    assert ctx.nf_mul(p, q) == _reduce_by_definition(ctx, p * q)
+
+
 def test_factor_basis_dimensions():
     for m in range(1, 9):
         assert len(factor_basis(m)) == m
@@ -126,7 +180,7 @@ def test_invariant_basis_dimensions_and_invariance():
 
 
 def _span_equal(ctx, A, B):
-    MA, _ = _coordinates([ctx.normal_form(p) for p in A + B])
+    MA, _ = _coordinates([ctx.normal_form(p).terms for p in A + B])
     ra = linalg.rank([row[:len(A)] for row in MA])
     rb = linalg.rank([row[len(A):] for row in MA])
     rab = linalg.rank(MA)
@@ -150,15 +204,21 @@ def test_antidiagonal_kernel_is_t4_t5():
 
 
 def test_antidiagonal_restriction_values():
-    ctx = ctx11()
-    t = ctx.t_generators()
     from stratabench.s2e import _restrict_antidiagonal
-    assert _restrict_antidiagonal(ctx, t[4]).is_zero()
-    assert _restrict_antidiagonal(ctx, t[5]).is_zero()
-    r3 = _restrict_antidiagonal(ctx, t[3])
-    R = ctx.ring
-    x1, z1 = R.var("x1"), R.var("z1")
-    assert r3 == -(x1 ** 3 + x1 * z1 ** 4 + z1 ** 6)
+    for a, b in ((1, 1), (Fraction(2, 3), Fraction(-5, 7))):
+        ctx = Context(WeierstrassParams(a, b), G11)
+        t = ctx.t_generators()
+        P = ctx._packing(8)
+
+        def restrict(p):
+            row, den = P.pack(p)
+            return P.unpack(_restrict_antidiagonal(P, row), den)
+
+        assert restrict(t[4]).is_zero()
+        assert restrict(t[5]).is_zero()
+        R = ctx.ring
+        x1, z1 = R.var("x1"), R.var("z1")
+        assert restrict(t[3]) == -(x1 ** 3 + x1 * z1 ** 4 * a + z1 ** 6 * b)
 
 
 def test_conductor_dimensions():
@@ -287,6 +347,31 @@ def test_conductor_kernel_vanishes_groebner_route():
     assert not normal_form(dehom(probe) * g, gb).is_zero()
 
 
+def _rescaled(p, mu):
+    """p under z_i -> mu*z_i."""
+    return Polynomial(p.ring, {e: c * mu ** (e[0] + e[3]) for e, c in p.terms.items()})
+
+
+@pytest.mark.parametrize("mu", [Fraction(2), Fraction(1, 3)])
+def test_pipeline_is_invariant_under_weighted_rescaling(mu):
+    # z_i -> mu*z_i maps the curve of (a, b) onto the curve of
+    # (mu^4*a, mu^6*b), t4 to mu*t4 and t5 to mu^3*t5, so the s4 of
+    # (alpha, beta) to mu times the s4 of (alpha, mu^2*beta)
+    a, b, al, be = Fraction(2, 3), Fraction(-5, 7), Fraction(3, 2), Fraction(-1, 3)
+    ctx = Context(WeierstrassParams(a, b), GluingParams(al, be))
+    image = Context(WeierstrassParams(mu ** 4 * a, mu ** 6 * b), GluingParams(al, mu ** 2 * be))
+    reports = [s2e.pipeline_report(c.params, c.glue) for c in (ctx, image)]
+    for key in ("invariant_dims", "conductor_dims", "antidiagonal_kernel_dim_3",
+                "generation_upto_6", "identity1_ok", "identity1_scalar", "identity2_ok"):
+        assert reports[0][key] == reports[1][key]
+    assert reports[0]["theorem"]["succeeding"] == reports[1]["theorem"]["succeeding"]
+    for m in range(2, 6):
+        assert _span_equal(image, [_rescaled(p, mu) for p in conductor_vanishing_basis(ctx, m)],
+                           conductor_vanishing_basis(image, m))
+    assert _span_equal(image, [_rescaled(p, mu) for p in antidiagonal_kernel(ctx, 3)],
+                       antidiagonal_kernel(image, 3))
+
+
 def test_enumeration_deterministic():
     import json as _json
     from stratabench.gluing import builtin_config, enumerate_gluings
@@ -343,8 +428,8 @@ def test_conductor_m5_rref_work_is_pinned(monkeypatch):
     ctx = Context(P_PIN, G11)
     t4, s4 = ctx.t_generators()[4], ctx.s_elements()["s4"]
     basis = invariant_basis(ctx, 5)
-    M, _ = _coordinates([ctx.nf_mul(p, t4) for p in basis]
-                        + [ctx.nf_mul(p, -s4) for p in basis])
+    M, _ = _coordinates([ctx.nf_mul(p, t4).terms for p in basis]
+                        + [ctx.nf_mul(p, -s4).terms for p in basis])
     assert (len(M), len(M[0])) == (63, 30)
     monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "130")
     _, pivots = linalg.rref(M)
@@ -366,16 +451,17 @@ def test_conductor_m5_pipeline_rref_work_is_pinned(monkeypatch):
 
 def test_pipeline_normal_form_calls_are_bounded(monkeypatch):
     # generation_check builds each monomial product in t0..t6 once, from a
-    # stored product of lower degree: 64 normal forms for upto = 6, not 179
+    # stored product of lower degree: 64 normal forms for upto = 6, not 179.
+    # Every normal form, of a Polynomial or of a row, enters the one kernel.
     from stratabench import s2e
     calls = []
-    normal_form = Context.normal_form
+    reduce = s2e._Packing.reduce
 
-    def counted(self, p):
-        calls.append(p)
-        return normal_form(self, p)
+    def counted(self, row, by=None):
+        calls.append(row)
+        return reduce(self, row, by)
 
-    monkeypatch.setattr(Context, "normal_form", counted)
+    monkeypatch.setattr(s2e._Packing, "reduce", counted)
     generation_check(Context(P_PIN, G11), 6)
     assert len(calls) == 64
     calls.clear()
@@ -388,9 +474,14 @@ def test_pipeline_normal_form_calls_are_bounded(monkeypatch):
     assert len(calls) == 13
 
 
-def _evidence_digest(seed=14, count=12, symbolic=3):
+def _evidence_digest(seed=14, count=12, symbolic=3, top=6, den=3, coprime=False):
     """sha256 over the exit code, stdout and stderr of `s2e verify` for
-    `count` seeded numeric tuples and `symbolic` seeded `--symbolic` runs."""
+    `count` seeded numeric tuples and `symbolic` seeded `--symbolic` runs.
+
+    Every rational has a numerator in [-top, top] and a denominator in
+    [1, den]; with `coprime`, a and b have coprime denominators above 1,
+    so lcm(den a, den b) is their product.
+    """
     import contextlib
     import hashlib
     import io
@@ -400,12 +491,14 @@ def _evidence_digest(seed=14, count=12, symbolic=3):
     rng = random.Random(seed)
 
     def rational():
-        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        return Fraction(rng.randint(-top, top), rng.randint(1, den))
 
     def params():
         while True:
             a, b = rational(), rational()
-            if 4 * a ** 3 + 27 * b ** 2 != 0:
+            if 4 * a ** 3 + 27 * b ** 2 != 0 and (
+                    not coprime or gcd(a.denominator, b.denominator) == 1
+                    < min(a.denominator, b.denominator)):
                 return a, b
 
     argvs = []
@@ -434,3 +527,13 @@ GOLDEN_EVIDENCE_SHA256 = "c1d7369ed76dd7ab1a74184e6877d7144c2ec27a76b331964e1587
 def test_s2e_evidence_golden_digest():
     # any changed byte of the report, or of an error message, changes the digest
     assert _evidence_digest() == GOLDEN_EVIDENCE_SHA256
+
+
+# recorded before the S2E kernel moved to integer rows: denominators up
+# to 60, coprime in a and b, so lcm(den a, den b)^6 reaches about 10^18
+GOLDEN_WIDE_EVIDENCE_SHA256 = "0da6e0c15eb3c9b7dfab0597dfc3618f0599f53a4de2e13a87c784976b5496f1"
+
+
+def test_s2e_evidence_golden_digest_wide_denominators():
+    assert _evidence_digest(seed=15, count=10, symbolic=2, top=60, den=60,
+                            coprime=True) == GOLDEN_WIDE_EVIDENCE_SHA256
