@@ -67,8 +67,11 @@ def ci_hilbert_series(weights: Sequence[int], relation_degrees: Sequence[int],
         # multiply by (1 - t^d), in place from the top
         for i in range(upto, d - 1, -1):
             series[i] -= series[i - d]
-    if series[0] != 1:
-        raise ModelError("Hilbert series must start with 1")
+    # a graded ring has no piece of negative dimension
+    negative = next((m for m, c in enumerate(series) if c < 0), None)
+    if negative is not None:
+        raise ModelError(f"not a complete intersection: the Hilbert series has "
+                         f"coefficient {series[negative]} in degree {negative}")
     return series
 
 

@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, Tuple, TypeVar
 
 from . import (BudgetExceeded, BudgetSettingError, bidouble, canring, fibration, gluing,
                implicitize, s2e)
@@ -39,6 +39,8 @@ def _point(text: str, flag: str) -> Tuple[Fraction, ...]:
     point = tuple(_fraction(t) for t in text.split(":"))
     if len(point) != 3:
         raise UsageError(f"{flag} expects three coordinates p0:p1:p2, got {text!r}")
+    if not any(point):
+        raise UsageError(f"{flag}: (0:0:0) is not a point of the projective plane")
     return point
 
 
@@ -270,26 +272,12 @@ def cmd_catalog(args) -> Tuple[str, dict]:
 # -- self tests ----------------------------------------------------------------
 
 
-def _first_failure(checks: Callable[[], Iterator[Tuple[str, bool]]]
-                   ) -> Callable[[], Optional[str]]:
-    """Run the (name, ok) checks in order and return the name of the
-    first that fails, or None; later checks do not run."""
-
-    @functools.wraps(checks)
-    def run() -> Optional[str]:
-        return next((name for name, ok in checks() if not ok), None)
-
-    return run
-
-
-@_first_failure
 def _selftest_hilbert():
     series = canring.ci_hilbert_series((1, 2, 2, 3, 3), (6, 6), 12)
     yield "hilbert_series_matches_rr", all(
         series[m] == canring.rr_prediction(1, 2, 1, m) for m in range(1, 13))
 
 
-@_first_failure
 def _selftest_canring():
     model = _demo_model()
     report = canring.validate_canring(model)
@@ -299,7 +287,6 @@ def _selftest_canring():
         model, base, validation=report) == 4
 
 
-@_first_failure
 def _selftest_bidouble():
     for name, tag in (("Z1", "elliptic-degree-1"), ("Z4", "elliptic-degree-4")):
         bd = bidouble.known_examples(name)
@@ -316,12 +303,10 @@ def _selftest_bidouble():
                                          "D2": [["E", 1], ["cubic", 1]]}
 
 
-@_first_failure
 def _selftest_fibration():
     yield "fibration_checks", cmd_fibration(None)[0] == "pass"
 
 
-@_first_failure
 def _selftest_glue():
     config, sym = gluing.builtin_config("four-lines")
     yield "four_lines_orbits", len(gluing.enumerate_gluings(config, sym)) == 3
@@ -330,7 +315,6 @@ def _selftest_glue():
     yield "minimum_nodes", gluing.minimum_nodes_check()["minimum"] == 3
 
 
-@_first_failure
 def _selftest_implicitize():
     inp = implicitize.ParametrizationInput(Fraction(2), Fraction(3))
     quartic, ver = implicitize.implicitize(inp)
@@ -339,7 +323,6 @@ def _selftest_implicitize():
     yield "nodes", all(ver["nodes"].values())
 
 
-@_first_failure
 def _selftest_s2e():
     params = s2e.WeierstrassParams(Fraction(1), Fraction(1))
     glue = s2e.GluingParams(Fraction(1), Fraction(1))
@@ -349,14 +332,14 @@ def _selftest_s2e():
     yield "t_system_succeeds", rep["theorem"]["succeeding"].startswith("t-system")
 
 
-@_first_failure
 def _selftest_catalog():
     cat = fibration.stratum_catalog()
     yield "normal_strata_count", cat["normal_strata_count"] == 7
     yield "moduli_dimension", cat["moduli_dimension"] == 18
 
 
-SELFTESTS: Dict[str, Callable[[], Optional[str]]] = {
+# subcommand -> its checks, yielded in order as (name, ok)
+SELFTESTS: Dict[str, Callable[[], Iterator[Tuple[str, bool]]]] = {
     "hilbert": _selftest_hilbert,
     "canring": _selftest_canring,
     "bidouble": _selftest_bidouble,
@@ -457,7 +440,8 @@ def dispatch(argv) -> int:
     args = _parser().parse_args(argv)
     try:
         if getattr(args, "selftest", False):
-            failed = SELFTESTS[args.subcommand]()
+            # the first failing check ends the run; later checks do not run
+            failed = next((name for name, ok in SELFTESTS[args.subcommand]() if not ok), None)
             verdict, evidence = "pass", {"selftest": True}
             if failed is not None:
                 verdict, evidence = "fail", {"selftest": False, "failed_check": failed}

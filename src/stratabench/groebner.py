@@ -55,8 +55,8 @@ and unpacked at exit:
   first stored.  The computation then raises `_Overflow` and runs again
   from the start with fields twice as wide and a fresh budget, so no
   field ever wraps;
-- a `GroebnerBasis` from `buchberger` keeps its packing and its rows, so
-  `normal_form` against it packs only its input;
+- `normal_form` packs its input and the basis with one packing that
+  fits them all;
 - each computation also remembers, per monomial, the index of the first
   leading monomial that divides it, or how many it checked on a miss.
   Divisors are only ever appended, so a hit never changes and a miss
@@ -77,7 +77,7 @@ budget.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, sub
@@ -336,15 +336,11 @@ def normal_form(p: Polynomial, basis, order: Optional[MonomialOrder] = None) -> 
     """Remainder of multivariate division of p by a basis.
 
     When `basis` is a GroebnerBasis the remainder is the unique normal
-    form, so `normal_form(p, gb) == 0` decides ideal membership; the
-    basis then brings its packed rows along and only p is packed.
+    form, so `normal_form(p, gb) == 0` decides ideal membership.
     """
-    packed = None
     if isinstance(basis, GroebnerBasis):
         gens = basis.generators
-        if order in (None, basis.order):
-            packed = basis._packed
-        order = basis.order if order is None else order
+        order = order or basis.order
     else:
         gens = list(basis)
         order = order or GREVLEX
@@ -357,30 +353,19 @@ def normal_form(p: Polynomial, basis, order: Optional[MonomialOrder] = None) -> 
 
     def run(packing: _Packing) -> Polynomial:
         b = Budget("normal_form", step_budget())
-        rows = packed[1] if packed and packed[0] is packing else _rows(gens, packing)
         work, den = _integer_terms(p, packing)
-        r, scale = _reduce(work, _Divisors(rows, packing.guard), b)
+        r, scale = _reduce(work, _Divisors(_rows(gens, packing), packing.guard), b)
         den *= scale
         unpack = packing.unpack
         return collect(ring, ((unpack(m), Fraction(c, den)) for m, c in r.items()))
 
-    width = _width(ring, [p])
-    if packed and packed[0].width >= width:
-        start = packed[0]
-    else:
-        start = _Packing(order, ring.weights, max(width, _width(ring, gens)))
-    return _widening(run, start)
+    return _widening(run, _Packing.fitting(order, ring, [p] + gens))
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     generators: Tuple[Polynomial, ...]
     order: MonomialOrder
-    reduced_flag: bool = True
-    # (packing, primitive integer rows of the generators in their order),
-    # set by `buchberger` so that `normal_form` need not convert the basis
-    _packed: Optional[Tuple[_Packing, List[Row]]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.generators)
@@ -402,13 +387,10 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
         raise PolynomialError("mixed rings")
 
     def run(packing: _Packing) -> GroebnerBasis:
-        rows = _buchberger_rows(gens, packing)
         unpack = packing.unpack
-        gb = GroebnerBasis(tuple(
+        return GroebnerBasis(tuple(
             collect(ring, ((unpack(m), Fraction(c, lc)) for m, c in [(lm, lc)] + tail))
-            for lm, lc, tail in rows), order, True)
-        object.__setattr__(gb, "_packed", (packing, rows))
-        return gb
+            for lm, lc, tail in _buchberger_rows(gens, packing)), order)
 
     return _widening(run, _Packing.fitting(order, ring, gens))
 
@@ -634,8 +616,8 @@ def projective_empty(gens: Sequence[Polynomial]) -> bool:
         if g.weighted_degree() == "inhomogeneous":
             raise PolynomialError("projective test expects homogeneous generators")
     gb = buchberger(gens, GREVLEX)
-    packing, rows = gb._packed
-    lms = [packing.unpack(lm) for lm, _, _ in rows]
+    pack = _Packing.fitting(GREVLEX, ring, gb.generators).pack
+    lms = [max(g.terms, key=pack) for g in gb]
     for i in range(ring.nvars):
         if not any(all(e[j] == 0 for j in range(ring.nvars) if j != i) and e[i] > 0
                    for e in lms):

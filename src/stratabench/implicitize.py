@@ -86,7 +86,7 @@ class PlaneQuartic:
 
 def closed_form_quartic(a, b) -> PlaneQuartic:
     """The closed-form six-coefficient quartic f_{a,b}."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = rational(a, "a", ImplicitizeError), rational(b, "b", ImplicitizeError)
     x, y, z = PLANE.var("x"), PLANE.var("y"), PLANE.var("z")
     c = {
         "x2y2": -a * b ** 3 + b ** 4 + a * a * b - a * b * b,

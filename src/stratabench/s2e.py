@@ -16,10 +16,11 @@ mode, two extra ring variables (degree 0 for the bidegree bookkeeping).
 Normal forms run on integer rows (see `_Packing`): the weighted
 rescaling z_i -> lam*z_i with lam = lcm(den a, den b) is a ring
 isomorphism onto the curve with integral coefficients lam^4*a and
-lam^6*b, so rewriting y_i^2 there never brings in a denominator.  The
-rescaling and the denominators are undone only where an answer leaves:
-in the Polynomials returned, and on kernel vectors, where z_i -> lam*z_i
-divides the coordinate of an invariant of z-degree d by lam^d.
+lam^6*b, so rewriting y_i^2 there never brings in a denominator.  Every
+row is the image of its polynomial, so a kernel vector of a system of
+rows holds the coefficients of the polynomials themselves, and the
+rescaling and the denominators are undone only in the Polynomials
+returned.
 """
 
 from __future__ import annotations
@@ -208,8 +209,6 @@ class Context:
             self.beta = R.const(glue.beta)
         else:
             self.alpha = self.beta = None
-        self.iy1 = R.index("y1")
-        self.iy2 = R.index("y2")
         # field width -> packing, made on first use
         self._packings: Dict[int, _Packing] = {}
         # t_generators, s_elements and s_generators, built on first use
@@ -351,25 +350,9 @@ def _invariant_exponents(ctx: Context, m: int) -> List[Tuple[tuple, ...]]:
 
 
 def _invariant_rows(P: _Packing, exps: Sequence[Tuple[tuple, ...]]) -> List[Row]:
-    """The invariants as rows of their own coefficients, all 1: row j is
-    the image under z_i -> lam*z_i of invariant j divided by lam^d, d its
-    z-degree (see `_unscale`)."""
-    return [{P.pack_exponent(e): 1 for e in es} for es in exps]
-
-
-def _unscale(u: Sequence[Fraction], exps: Sequence[Tuple[tuple, ...]],
-             lam: int) -> List[Fraction]:
-    """A kernel vector u of a system in `_invariant_rows`, as a vector of
-    coefficients of the invariants themselves: u_j / lam^d_j, d_j the
-    z-degree of invariant j, times the scalar that keeps the last nonzero
-    entry.  A canonical kernel vector stays canonical: that entry is its
-    free one, equal to 1."""
-    f = next((j for j in reversed(range(len(u))) if u[j]), None)
-    if lam == 1 or f is None:
-        return list(u)
-    zdeg = [es[0][0] + es[0][3] for es in exps]
-    lam = Fraction(lam)
-    return [x * lam ** (zdeg[f] - d) if x else x for x, d in zip(u, zdeg)]
+    """The invariants as rows: an invariant of z-degree d has the
+    coefficient lam^d at each of its monomials."""
+    return [{P.pack_exponent(e): P.lam ** (e[0] + e[3]) for e in es} for es in exps]
 
 
 # -- coordinates --------------------------------------------------------------
@@ -404,10 +387,7 @@ def antidiagonal_kernel(ctx: Context, m: int) -> List[Polynomial]:
     exps = _invariant_exponents(ctx, m)
     P = ctx._packing(2 * m)
     M, _ = _coordinates([_restrict_antidiagonal(P, r) for r in _invariant_rows(P, exps)])
-    ker = [_unscale(v, exps, P.lam) for v in linalg.nullspace(M)] if M else [
-        [Fraction(1 if i == j else 0) for j in range(len(exps))]
-        for i in range(len(exps))]
-    return [_combine(ctx, v, exps) for v in ker]
+    return [_combine(ctx, v, exps) for v in linalg.nullspace(M)]
 
 
 def _combine(ctx: Context, coeffs: Sequence[Fraction],
@@ -448,16 +428,10 @@ def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
     basis = _invariant_rows(P, exps)
     M, _ = _coordinates([P.reduce(p, t4) for p in basis]
                         + [P.reduce(p, minus_s4) for p in basis])
-    ker = linalg.nullspace(M)
-    seen_rows: List[List[Fraction]] = []
-    for v in ker:
-        coeffs = v[:len(basis)]
-        if not any(coeffs):
-            # would mean s4*h = 0 with h != 0; impossible in a domain
-            raise S2EError("degenerate conductor system")
-        # a nonzero multiple of the p-projection before the rescaling; the RREF
-        # below does not see the multiple
-        seen_rows.append(_unscale(coeffs, exps, P.lam))
+    seen_rows = [v[:len(basis)] for v in linalg.nullspace(M)]
+    if not all(map(any, seen_rows)):
+        # a kernel vector with p = 0 means s4*h = 0 with h != 0; impossible in a domain
+        raise S2EError("degenerate conductor system")
     # canonicalise the p-projection
     reduced, pivots = linalg.rref(seen_rows) if seen_rows else ([], [])
     return [_combine(ctx, reduced[r], exps) for r in range(len(pivots))]

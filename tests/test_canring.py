@@ -37,6 +37,19 @@ def test_hilbert_vs_rr():
         assert series[m] == rr_prediction(1, 2, 1, m)
 
 
+@pytest.mark.parametrize("weights, relations, degree, coefficient", [
+    ((), (6, 6), 6, -2),          # no generators, two relations
+    ((2,), (3,), 3, -1),          # 1 + t^2 - t^3 + ...
+    ((1,), (1, 1), 1, -1),        # 1 - t
+])
+def test_hilbert_series_refuses_negative_coefficients(weights, relations, degree,
+                                                      coefficient):
+    with pytest.raises(ModelError, match=f"coefficient {coefficient} in degree {degree}$"):
+        ci_hilbert_series(weights, relations, 12)
+    # a series that ends before that degree is accepted
+    assert min(ci_hilbert_series(weights, relations, degree - 1)) >= 0
+
+
 def test_rr_examples():
     assert rr_prediction(1, 2, 1, 6) == 17
     assert rr_prediction(1, 2, 1, 1) == 1

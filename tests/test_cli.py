@@ -308,6 +308,31 @@ def test_classify_needs_three_coordinates(capsys):
         assert err.startswith("usage error: --classify") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["canring", "--fiber", "0:0:0"],
+    ["canring", "--fiber", "0:0/5:-0"],
+    ["bidouble", "--example", "Z1", "--classify", "0:0:0"],
+    ["bidouble", "--example", "Z1", "--classify", "0:0:1;0:0:0"],
+])
+def test_zero_triple_is_not_a_point(argv, capsys):
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"usage error: {argv[-2]}: (0:0:0) is not a point")
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (["hilbert", "--weights", ""], 6),
+    (["hilbert", "--weights=2", "--relations=3"], 3),
+])
+def test_hilbert_refuses_a_negative_coefficient(argv, degree, capsys):
+    assert dispatch(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: not a complete intersection")
+    assert err.endswith(f" in degree {degree}\n")
+
+
 def test_rr_needs_three_integers(capsys):
     for value in ("1,2", "a,b,c", "1,2,3,4"):
         assert dispatch(["hilbert", "--rr", value]) == 2

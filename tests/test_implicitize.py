@@ -191,3 +191,7 @@ def test_parameters_refuse_floats_and_bools(slot, value):
     with pytest.raises(ImplicitizeError, match=f"^{slot} must be an exact rational"):
         ParametrizationInput(**args)
     assert ParametrizationInput("2/5", 3).a == Fraction(2, 5)
+    # the public closed form reads its arguments the same way
+    with pytest.raises(ImplicitizeError, match=f"^{slot} must be an exact rational"):
+        closed_form_quartic(**args)
+    assert closed_form_quartic("2/5", 3).poly == closed_form_quartic(Fraction(2, 5), 3).poly

@@ -99,7 +99,8 @@ def test_normal_form_is_the_groebner_remainder(symbolic, terms):
     n = ctx.ring.nvars
     p = Polynomial(ctx.ring, {e[:n]: c for e, c in terms})
     nf = ctx.normal_form(p)
-    assert all(e[ctx.iy1] <= 1 and e[ctx.iy2] <= 1 for e in nf.terms)
+    iy1, iy2 = ctx.ring.index("y1"), ctx.ring.index("y2")
+    assert all(e[iy1] <= 1 and e[iy2] <= 1 for e in nf.terms)
     assert nf == rename_into(groebner.normal_form(rename_into(p, gb.generators[0].ring), gb),
                              ctx.ring)
 
@@ -537,3 +538,50 @@ GOLDEN_WIDE_EVIDENCE_SHA256 = "0da6e0c15eb3c9b7dfab0597dfc3618f0599f53a4de2e13a8
 def test_s2e_evidence_golden_digest_wide_denominators():
     assert _evidence_digest(seed=15, count=10, symbolic=2, top=60, den=60,
                             coprime=True) == GOLDEN_WIDE_EVIDENCE_SHA256
+
+
+def _library_digest(seed=16, count=8, top=60, den=60):
+    """sha256 over the `to_json` of `antidiagonal_kernel` (m = 1..6) and
+    `conductor_vanishing_basis` (m = 2..5) for `count` seeded tuples.
+
+    The first tuple has integral a and b, so lam = 1; the others have
+    coprime denominators above 1 in a and b, up to `den`.
+    """
+    import hashlib
+    import json
+
+    from stratabench.poly import to_json
+
+    rng = random.Random(seed)
+
+    def rational(d=den):
+        return Fraction(rng.randint(-top, top), rng.randint(1, d))
+
+    h = hashlib.sha256()
+    for k in range(count):
+        while True:
+            a, b = rational(1 if k == 0 else den), rational(1 if k == 0 else den)
+            if 4 * a ** 3 + 27 * b ** 2 != 0 and (k == 0 or gcd(
+                    a.denominator, b.denominator) == 1 < min(a.denominator, b.denominator)):
+                break
+        alpha = beta = 0
+        while alpha == 0 or beta == 0:
+            alpha, beta = rational(), rational()
+        ctx = Context(WeierstrassParams(a, b), GluingParams(alpha, beta))
+        report = {"params": [str(a), str(b), str(alpha), str(beta)],
+                  "antidiagonal": {m: [to_json(p) for p in antidiagonal_kernel(ctx, m)]
+                                   for m in range(1, 7)},
+                  "conductor": {m: [to_json(p) for p in conductor_vanishing_basis(ctx, m)]
+                                for m in range(2, 6)}}
+        h.update(json.dumps(report, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+# recorded before invariant rows moved to their true scale (no unscaling of
+# kernel vectors): the antidiagonal at every m, not only m = 3 as in the
+# `s2e verify` digests, and the conductor bases
+GOLDEN_LIBRARY_SHA256 = "527358bbaad2c59e75eb0a62066aa26ff2e6889e2300a62b0cb5a6d1d8e57c66"
+
+
+def test_s2e_library_golden_digest():
+    assert _library_digest() == GOLDEN_LIBRARY_SHA256
