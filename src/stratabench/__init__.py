@@ -4,8 +4,9 @@ gluing combinatorics, quartic implicitization and the symmetric-square
 pipeline.
 
 The step budget bounds the Groebner engine, the row updates of exact
-RREF and gluing enumeration.  It lives here so that linear algebra and
-gluing can consult it without depending on the Groebner engine.  So do
+RREF, the term products of the S2E normal-form kernel and gluing
+enumeration.  It lives here so that linear algebra, S2E and gluing can
+consult it without depending on the Groebner engine.  So do
 the JSON type checks that the document loaders share, and the exact
 rational check of the parameter constructors.
 """

@@ -604,7 +604,8 @@ def projective_empty(gens: Sequence[Polynomial]) -> bool:
 
     True iff the quotient by the ideal is a finite-dimensional vector
     space, i.e. every variable has a pure power among the leading
-    monomials of the reduced basis.
+    monomials of the reduced basis; the constant 1 of the unit ideal is
+    the zeroth power of each.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -619,8 +620,7 @@ def projective_empty(gens: Sequence[Polynomial]) -> bool:
     pack = _Packing.fitting(GREVLEX, ring, gb.generators).pack
     lms = [max(g.terms, key=pack) for g in gb]
     for i in range(ring.nvars):
-        if not any(all(e[j] == 0 for j in range(ring.nvars) if j != i) and e[i] > 0
-                   for e in lms):
+        if not any(all(e[j] == 0 for j in range(ring.nvars) if j != i) for e in lms):
             return False
     return True
 

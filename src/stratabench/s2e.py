@@ -13,14 +13,18 @@ element of the m-th graded piece of the invariant ring has bidegree
 gluing parameters alpha, beta can be rational numbers or, in symbolic
 mode, two extra ring variables (degree 0 for the bidegree bookkeeping).
 
-Normal forms run on integer rows (see `_Packing`): the weighted
-rescaling z_i -> lam*z_i with lam = lcm(den a, den b) is a ring
-isomorphism onto the curve with integral coefficients lam^4*a and
-lam^6*b, so rewriting y_i^2 there never brings in a denominator.  Every
-row is the image of its polynomial, so a kernel vector of a system of
-rows holds the coefficients of the polynomials themselves, and the
-rescaling and the denominators are undone only in the Polynomials
-returned.
+Everything between the t-generators and the report runs on integer
+rows (see `_Packing`): the weighted rescaling z_i -> lam*z_i with
+lam = lcm(den a, den b) is a ring isomorphism onto the curve with
+integral coefficients lam^4*a and lam^6*b, so rewriting y_i^2 there
+never brings in a denominator.  Every row is the image of its
+polynomial, so a kernel vector of a system of rows holds the
+coefficients of the polynomials themselves.  The s-elements, the two
+identities and the theorem search are (row, den) pairs built from
+closed forms with the normal-form kernel as the only product; alpha and
+beta are rows like any other, constants or ring variables.  Polynomials
+appear only at the library boundary: the t-generators are packed from
+them, and what a caller gets back is unpacked.
 """
 
 from __future__ import annotations
@@ -30,10 +34,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
 from operator import mul
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import linalg, rational
-from .poly import Polynomial, WeightedRing, collect, scalar_ratio, to_json, weighted_exponents
+from . import Budget, linalg, rational, step_budget
+from .poly import Polynomial, WeightedRing, collect, to_json, weighted_exponents
 
 GEOM_VARS = ("z1", "x1", "y1", "z2", "x2", "y2")
 FACTOR1_WEIGHTS = (1, 2, 3, 0, 0, 0)
@@ -44,6 +48,8 @@ SYMBOLIC_RING = WeightedRing(GEOM_VARS + ("al", "be"), (1, 2, 3, 1, 2, 3, 1, 1))
 
 # a row maps packed monomials to nonzero int coefficients
 Row = Dict[int, int]
+# (row, den): the element whose image under z_i -> lam*z_i is row/den
+Elem = Tuple[Row, int]
 
 
 class S2EError(ValueError):
@@ -94,15 +100,19 @@ class _Packing:
 
     A row here stands for its image under z_i -> lam*z_i: the curve there
     has the integral coefficients A = lam^4*a and B = lam^6*b.
+
+    The step budget is read when the packing is made; each normal form
+    may form that many term products.
     """
 
     __slots__ = ("ring", "lam", "A", "B", "width", "mask", "units", "shifts",
-                 "ymask", "high", "factor2", "_rhs")
+                 "ymask", "high", "factor2", "steps", "_rhs")
 
     def __init__(self, ring: WeightedRing, params: WeierstrassParams, width: int):
         a, b = params.a, params.b
         lam = lcm(a.denominator, b.denominator)
         self.ring, self.lam, self.width = ring, lam, width
+        self.steps = step_budget()
         self.A = a.numerator * (lam ** 4 // a.denominator)
         self.B = b.numerator * (lam ** 6 // b.denominator)
         n = ring.nvars
@@ -145,11 +155,16 @@ class _Packing:
 
         y1^(2*k1+r1) * y2^(2*k2+r2) becomes y1^r1 * y2^r2 * rhs1^k1 * rhs2^k2;
         rhs1 and rhs2 are y-free, so one pass leaves every y-exponent at most 1.
+        Each term product spends one step of the step budget, under the
+        stage name "s2e.normal_form".
         """
         if by is None:
             if not any(m & self.high for m in row):
                 return row
             by = {0: 1}
+        steps = len(row) * len(by)
+        if steps > self.steps:
+            Budget("s2e.normal_form", self.steps).spend(steps)  # raises BudgetExceeded
         ymask, rhs = self.ymask, self._rhs
         out: Row = {}
         get = out.get
@@ -164,6 +179,10 @@ class _Packing:
                     t = m + d
                     out[t] = get(t, 0) + c * k
         return {m: c for m, c in out.items() if c}
+
+    def mul(self, p: Elem, q: Elem) -> Elem:
+        """The normal form of the product of two (row, den) elements."""
+        return self.reduce(p[0], q[0]), p[1] * q[1]
 
     def _rewrite(self, y: int) -> Row:
         """What the y-part y = y1^(2*k1+r1) * y2^(2*k2+r2) rewrites to; cached."""
@@ -284,42 +303,156 @@ class Context:
         self._t = (t0, t1, t2, t3, t4, t5, t6)
         return self._t
 
-    def s_elements(self) -> dict:
-        """s0..s4 and the two degree-4 conductor elements l1, l2.
-
-        The coefficient formulas are pinned by the requirements that
-        l1, l2 vanish on the conductor curve, that s1, s2, s3 restrict
-        there to A*B, B^2, B^3 for suitable generators A, B of the
-        quotient ring of the conductor, and by the two exact identities
-        checked in s_generators.  (Swapping the roles of t1 and t2 in
-        every formula below produces a second family that satisfies the
-        same two identities but fails the vanishing requirement; the
-        convention here is the geometrically consistent one.)  Built
-        once per context; every call returns a fresh dict.
-        """
+    @cached_property
+    def _elements(self) -> "_Elements":
+        """t0..t5, s0..s4, l1 and l2 as rows; built once per context."""
         if self.alpha is None:
             raise S2EError("gluing parameters required")
-        if self._s is not None:
-            return dict(self._s)
-        t0, t1, t2, t3, t4, t5, _ = self.t_generators()
-        a, b = self.params.a, self.params.b
-        al, be = self.alpha, self.beta
-        s0 = t0
-        s1 = al * t1 + be * t2
-        s2 = (al * be * (2 * b) - be * be * a) * t0 ** 2 + al * al * b * t2 \
-            + (al * al * a + be * be) * t1
-        s3 = (al ** 3 * b * b + be ** 3 * b) * t0 ** 3 \
-            + (al ** 3 * a * b + al * be * be * (3 * b) - be ** 3 * a) * t0 * t2 \
-            + (al ** 3 * a * a + al * al * be * (3 * b)) * t0 * t1 \
-            + (-al ** 3 * b + al * al * be * a + be ** 3) * t3
-        s4 = al * t4 + be * t5
-        l1 = (al * b - be * a) * t0 ** 4 + be * t0 ** 2 * t1 - be * t2 ** 2 \
-            - al * t1 * t2 - al * t0 * t3
-        l2 = be * b * t0 ** 4 + al * a * t0 ** 2 * t1 + al * b * t0 ** 2 * t2 \
-            - al * t1 ** 2 - be * t1 * t2 + be * t0 * t3
-        self._s = {"s0": s0, "s1": s1, "s2": s2, "s3": s3, "s4": s4,
-                   "l1": l1, "l2": l2}
+        return _Elements(self)
+
+    def s_elements(self) -> dict:
+        """s0..s4 and the two degree-4 conductor elements l1, l2 (see
+        `_closed_forms`), unpacked once from the context's rows; every
+        call returns a fresh dict."""
+        if self._s is None:
+            E = self._elements
+            self._s = {k: E.P.unpack(*E.rows[k]) for k in S_NAMES}
         return dict(self._s)
+
+
+# -- elements as rows ------------------------------------------------------------
+
+# A packing for this bound holds every element built below: weighted
+# degree 12 in the curve variables and at most 8 in alpha, beta.
+ELEMENT_DEGREE = 20
+S_NAMES = ("s0", "s1", "s2", "s3", "s4", "l1", "l2")
+
+
+def _lin(terms: Iterable[Tuple[Fraction, Elem]]) -> Elem:
+    """sum(c * row/den) over the pairs (c, (row, den)), c an int or a
+    Fraction, as one (row, den)."""
+    terms = [(c, row, den * c.denominator) for c, (row, den) in terms if c]
+    den = lcm(*(d for _, _, d in terms))
+    out: Row = {}
+    get = out.get
+    for c, row, d in terms:
+        f = c.numerator * (den // d)
+        for m, v in row.items():
+            out[m] = get(m, 0) + f * v
+    return {m: v for m, v in out.items() if v}, den
+
+
+def _ratio(p: Elem, q: Elem) -> Optional[Fraction]:
+    """The c with p = c*q, or None if there is none (0 when p = 0)."""
+    (rp, dp), (rq, dq) = p, q
+    if not rp:
+        return Fraction(0)
+    m = next(iter(rq), None)
+    if m not in rp:
+        return None
+    c = Fraction(rp[m] * dq, rq[m] * dp)
+    return None if _lin([(1, p), (-c, q)])[0] else c
+
+
+class _Products:
+    """Products of the elements `gens`, each normal form built once, from
+    one generator times a stored product of lower degree.  A product is
+    named by the sorted tuple of its factors' indices; () is 1."""
+
+    def __init__(self, P: _Packing, gens: Sequence[Elem]):
+        self.P, self.gens = P, gens
+        self._built: Dict[tuple, Elem] = {(): ({0: 1}, 1)}
+        self._built.update(((k,), g) for k, g in enumerate(gens))
+
+    def __getitem__(self, key: tuple) -> Elem:
+        elem = self._built.get(key)
+        if elem is None:
+            elem = self._built[key] = self.P.mul(self.gens[key[0]], self[key[1:]])
+        return elem
+
+
+def _closed_forms(a, b) -> dict:
+    """Each closed form as a pattern {ab: {g: c}}, the sum of c * ab * g
+    over its entries: ab is a product of alpha, beta (indices 0, 1) and g
+    a product of the generators it is evaluated at, each written as the
+    string of its factors' indices ("" is 1), and c is an int or a
+    Fraction in a, b.
+
+    s0..s4, l1 and l2 in t0..t5 (indices 0..5):
+      s0 = t0,  s1 = al*t1 + be*t2,  s4 = al*t4 + be*t5,
+      s2 = al*be*2b*t0^2 + be^2*(t1 - a*t0^2) + al^2*(b*t2 + a*t1),
+      s3 = al^3*(b^2*t0^3 + a*b*t0*t2 + a^2*t0*t1 - b*t3) + al^2*be*(3b*t0*t1 + a*t3)
+           + al*be^2*3b*t0*t2 + be^3*(b*t0^3 - a*t0*t2 + t3),
+      l1 = al*(b*t0^4 - t1*t2 - t0*t3) + be*(t0^2*t1 - a*t0^4 - t2^2),
+      l2 = al*(a*t0^2*t1 + b*t0^2*t2 - t1^2) + be*(b*t0^4 - t1*t2 + t0*t3).
+    The coefficients are pinned by the requirements that l1, l2 vanish on
+    the conductor curve, that s1, s2, s3 restrict there to A*B, B^2, B^3
+    for suitable generators A, B of the quotient ring of the conductor,
+    and by the two exact identities checked in s_generators.  (Swapping
+    the roles of t1 and t2 in every formula produces a second family that
+    satisfies the same two identities but fails the vanishing requirement;
+    the convention here is the geometrically consistent one.)
+
+    The left sides of the two identities of s_generators, in s0..s4, l1,
+    l2 and t0 (indices 0..7):
+      identity I  = s0^2*s2 - s1^2 - be*l1 - al*l2,
+      identity II = s1*s2 + al^2*(b*l1 + a*l2) + be^2*l2 - t0*s3.
+
+    The parts of the two defining relations of the canonical model, in
+    W = x^2, y1, y2 (indices 0..2); x has weight 1 and y1, y2 weight 2,
+    so these parts of weight 6 and 2 hold x in even powers only:
+      b1 = -(b^2 W^3 + a b W^2 y1 + b y1^3 + a^2 W^2 y2 - 3b W y1 y2
+             + a y1^2 y2 - 2a W y2^2 + y2^3),
+      a2 = -2(be^2 W + al be y1 + al^2 y2),
+      b2 = -(be^2 (2b W^3 + a W^2 y1 + y1^3 - 3 W y1 y2)
+             + al be (2b W^2 y1 + 4a W^2 y2 + 2 y1^2 y2 - 4 W y2^2)
+             + al^2 (b W y1^2 - 2b W^2 y2 + a W y1 y2 + y1 y2^2)).
+    """
+    return {
+        "s0": {"": {"0": 1}},
+        "s1": {"0": {"1": 1}, "1": {"2": 1}},
+        "s2": {"01": {"00": 2 * b}, "11": {"1": 1, "00": -a},
+               "00": {"2": b, "1": a}},
+        "s3": {"000": {"000": b * b, "02": a * b, "01": a * a, "3": -b},
+               "001": {"01": 3 * b, "3": a},
+               "011": {"02": 3 * b},
+               "111": {"000": b, "02": -a, "3": 1}},
+        "s4": {"0": {"4": 1}, "1": {"5": 1}},
+        "l1": {"0": {"0000": b, "12": -1, "03": -1},
+               "1": {"001": 1, "0000": -a, "22": -1}},
+        "l2": {"0": {"001": a, "002": b, "11": -1},
+               "1": {"0000": b, "12": -1, "03": 1}},
+        "identity I": {"": {"002": 1, "11": -1}, "1": {"5": -1}, "0": {"6": -1}},
+        "identity II": {"": {"12": 1, "37": -1}, "00": {"5": b, "6": a}, "11": {"6": 1}},
+        "b1": {"": {"000": -b * b, "001": -a * b, "111": -b, "002": -a * a,
+                    "012": 3 * b, "112": -a, "022": 2 * a, "222": -1}},
+        "a2": {"11": {"0": -2}, "01": {"1": -2}, "00": {"2": -2}},
+        "b2": {"11": {"000": -2 * b, "001": -a, "111": -1, "012": 3},
+               "01": {"001": -2 * b, "002": -4 * a, "112": -2, "022": 4},
+               "00": {"011": -b, "002": 2 * b, "012": -a, "122": -1}},
+    }
+
+
+class _Elements:
+    """A context's t0..t5, s0..s4, l1 and l2 as (row, den) pairs on one
+    packing, with the closed forms and the products of alpha and beta
+    they were built from."""
+
+    def __init__(self, ctx: Context):
+        P = self.P = ctx._packing(ELEMENT_DEGREE)
+        self.forms = _closed_forms(ctx.params.a, ctx.params.b)
+        self.ab = _Products(P, (P.pack(ctx.alpha), P.pack(ctx.beta)))
+        t = _Products(P, [P.pack(g) for g in ctx.t_generators()[:6]])
+        self.rows = {f"t{k}": g for k, g in enumerate(t.gens)}
+        self.rows.update((k, self.evaluate(k, t)) for k in S_NAMES)
+
+    def evaluate(self, name: str, gens: _Products) -> Elem:
+        """The closed form `name` at the generators of `gens`."""
+        parts = []
+        for ab, terms in self.forms[name].items():
+            part = _lin((c, gens[tuple(map(int, g))]) for g, c in terms.items())
+            parts.append((1, self.P.mul(self.ab[tuple(map(int, ab))], part) if ab else part))
+        return _lin(parts)
 
 
 # -- single-factor monomial basis --------------------------------------------
@@ -422,9 +555,10 @@ def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
     if ctx.glue is None or not ctx.glue.generic:
         raise S2EError("non-generic conductor")
     exps = _invariant_exponents(ctx, m)
-    P = ctx._packing(2 * m + 6)
-    t4, _ = P.pack(ctx.t_generators()[4])
-    minus_s4, _ = P.pack(-ctx.s_elements()["s4"])
+    # the products have weighted degree 2m + 6, below ELEMENT_DEGREE
+    E = ctx._elements
+    P, t4 = E.P, E.rows["t4"][0]
+    minus_s4 = {mono: -c for mono, c in E.rows["s4"][0].items()}
     basis = _invariant_rows(P, exps)
     M, _ = _coordinates([P.reduce(p, t4) for p in basis]
                         + [P.reduce(p, minus_s4) for p in basis])
@@ -452,29 +586,22 @@ def s_generators(ctx: Context) -> dict:
     Identity I:  s0^2*s2 - s1^2 - (beta*l1 + alpha*l2) is a scalar
     multiple of t0*s4 (the scalar is solved for; it comes out 0).
     Identity II: s1*s2 + b*alpha^2*l1 + (a*alpha^2+beta^2)*l2 = t0*s3.
-    Both are verified in normal form; failure raises IdentityError.
+    Both are verified on the context's rows; failure raises IdentityError.
     Checked once per context; every call returns a fresh dict.
     """
     if ctx._identities is not None:
         return dict(ctx._identities)
-    els = ctx.s_elements()
-    t0 = ctx.t_generators()[0]
-    a, b = ctx.params.a, ctx.params.b
-    al, be = ctx.alpha, ctx.beta
-    s0, s1, s2, s3, s4 = (els[k] for k in ("s0", "s1", "s2", "s3", "s4"))
-    l1, l2 = els["l1"], els["l2"]
-
-    lhs1 = ctx.normal_form(s0 ** 2 * s2 - s1 ** 2 - (be * l1 + al * l2))
-    t0s4 = ctx.normal_form(t0 * s4)
-    scalar = scalar_ratio(lhs1, t0s4)
+    E = ctx._elements
+    gens = _Products(E.P, [E.rows[k] for k in S_NAMES + ("t0",)])
+    lhs1 = E.evaluate("identity I", gens)
+    scalar = _ratio(lhs1, gens[(4, 7)])  # t0*s4
     if scalar is None:
-        raise IdentityError("identity I (degree-4 kernel) failed", lhs1)
+        raise IdentityError("identity I (degree-4 kernel) failed", E.P.unpack(*lhs1))
+    lhs2 = E.evaluate("identity II", gens)
+    if lhs2[0]:
+        raise IdentityError("identity II (s3 pinning) failed", E.P.unpack(*lhs2))
 
-    lhs2 = ctx.normal_form(
-        s1 * s2 + al * al * b * l1 + (al * al * a + be * be) * l2 - t0 * s3)
-    if not lhs2.is_zero():
-        raise IdentityError("identity II (s3 pinning) failed", lhs2)
-
+    els = ctx.s_elements()
     els["identity1_scalar"] = scalar
     els["identity1_ok"] = True
     els["identity2_ok"] = True
@@ -484,50 +611,23 @@ def s_generators(ctx: Context) -> dict:
 
 # -- theorem relations ---------------------------------------------------------
 
-# coefficient patterns of the two defining relations of the canonical model,
-# as maps (exponents of x,y1,y2) -> polynomial in a, b, alpha, beta
 
+class _SystemRows:
+    """One image (X, Y1, Y2) of the model generators x, y1, y2, with b1,
+    and a2 and b2 on first use; all three share the products of W, Y1, Y2."""
 
-def _b1_poly(X, Y1, Y2, a: Fraction, b: Fraction) -> Polynomial:
-    return -(X ** 6 * b * b + X ** 4 * Y1 * a * b + Y1 ** 3 * b + X ** 4 * Y2 * a * a
-             - X ** 2 * Y1 * Y2 * (3 * b) + Y1 ** 2 * Y2 * a - X ** 2 * Y2 ** 2 * (2 * a)
-             + Y2 ** 3)
-
-
-def _a2_poly(X, Y1, Y2, al, be) -> Polynomial:
-    return -(X ** 2 * be * be * 2 + Y1 * al * be * 2 + Y2 * al * al * 2)
-
-
-def _b2_poly(X, Y1, Y2, a, b, al, be) -> Polynomial:
-    return -(X ** 6 * be * be * (2 * b)
-             + X ** 4 * Y1 * (al * be * (2 * b) + be * be * a)
-             + X ** 2 * Y1 ** 2 * (al * al * b)
-             + Y1 ** 3 * be * be
-             + X ** 4 * Y2 * (al * al * (-2 * b) + al * be * (4 * a))
-             + X ** 2 * Y1 * Y2 * (al * al * a - be * be * 3)
-             + Y1 ** 2 * Y2 * (al * be * 2)
-             - X ** 2 * Y2 ** 2 * (al * be * 4)
-             + Y1 * Y2 ** 2 * al * al)
-
-
-class _GeneratorSystem:
-    """One image (X, Y1, Y2) of the model generators x, y1, y2, with the
-    normal forms of b1, a2 and b2 there, each built at most once."""
-
-    def __init__(self, ctx: Context, X: Polynomial, Y1: Polynomial, Y2: Polynomial):
-        self.ctx, self.X, self.Y1, self.Y2 = ctx, X, Y1, Y2
-        self.b1 = ctx.normal_form(_b1_poly(X, Y1, Y2, ctx.params.a, ctx.params.b))
+    def __init__(self, E: _Elements, X: Elem, Y1: Elem, Y2: Elem):
+        self.E, self.X = E, X
+        self.gens = _Products(E.P, (E.P.mul(X, X), Y1, Y2))
+        self.b1 = E.evaluate("b1", self.gens)
 
     @cached_property
-    def a2(self) -> Polynomial:
-        ctx = self.ctx
-        return ctx.normal_form(_a2_poly(self.X, self.Y1, self.Y2, ctx.alpha, ctx.beta))
+    def a2(self) -> Elem:
+        return self.E.evaluate("a2", self.gens)
 
     @cached_property
-    def b2(self) -> Polynomial:
-        ctx = self.ctx
-        return ctx.normal_form(_b2_poly(self.X, self.Y1, self.Y2, ctx.params.a,
-                                        ctx.params.b, ctx.alpha, ctx.beta))
+    def b2(self) -> Elem:
+        return self.E.evaluate("b2", self.gens)
 
 
 def verify_theorem_relations(ctx: Context) -> dict:
@@ -538,11 +638,11 @@ def verify_theorem_relations(ctx: Context) -> dict:
     constructed generator system (s0,s1,s2) with z-pair (s3,s4) or
     (s4,s3), and the equivalent raw system (t0,t2,t1) with z-pair
     (t3,s4) or (s4,t3).  Each candidate gets a z-rescaling z1->l*z1,
-    z2->u*z2 solved linearly from normal-form coordinates; success
-    means both relations reduce exactly to zero.  Each relation part is
-    built once per generator system (b1 always, a2 and b2 only when some
-    assignment of that system passes r1), and each z-square once, so the
-    four assignments share them.  Exactly one assignment is expected to
+    z2->u*z2 solved linearly from the rows; success means both relations
+    reduce exactly to zero.  Each relation part is built once per
+    generator system (b1 always, a2 and b2 only when some assignment of
+    that system passes r1), and each z-square once, so the four
+    assignments share them.  Exactly one assignment is expected to
     succeed.  A symbolic context runs the same search exactly in
     Q[alpha, beta] and reports only the success.
     """
@@ -550,22 +650,17 @@ def verify_theorem_relations(ctx: Context) -> dict:
         raise S2EError("gluing parameters required")
     if not ctx.symbolic and not ctx.glue.generic:
         raise S2EError("non-generic conductor")
-    els = s_generators(ctx)
-    t = ctx.t_generators()
-    s_system = _GeneratorSystem(ctx, els["s0"], els["s1"], els["s2"])
-    t_system = _GeneratorSystem(ctx, t[0], t[2], t[1])
-    zs = {"s3": els["s3"], "s4": els["s4"], "t3": t[3]}
-    squares = {k: ctx.normal_form(z * z) for k, z in zs.items()}
+    s_generators(ctx)  # raises IdentityError unless both identities hold
+    E = ctx._elements
+    rows = E.rows
+    systems = {"s-system": _SystemRows(E, rows["s0"], rows["s1"], rows["s2"]),
+               "t-system": _SystemRows(E, rows["t0"], rows["t2"], rows["t1"])}
+    squares = {k: E.P.mul(rows[k], rows[k]) for k in ("s3", "s4", "t3")}
 
-    candidates = [
-        ("s-system", s_system, "s3", "s4"),
-        ("s-system", s_system, "s4", "s3"),
-        ("t-system", t_system, "t3", "s4"),
-        ("t-system", t_system, "s4", "t3"),
-    ]
     results = []
-    for label, system, z1, z2 in candidates:
-        res = _try_assignment(ctx, system, zs[z1], squares[z1], squares[z2])
+    for label, z1, z2 in (("s-system", "s3", "s4"), ("s-system", "s4", "s3"),
+                          ("t-system", "t3", "s4"), ("t-system", "s4", "t3")):
+        res = _try_assignment(E.P, systems[label], rows[z1], squares[z1], squares[z2])
         res["assignment"] = f"{label} z=({z1},{z2})"
         results.append(res)
     successes = [r for r in results if r["success"]]
@@ -581,32 +676,34 @@ def verify_theorem_relations(ctx: Context) -> dict:
     return {"assignments": results, "succeeding": winner}
 
 
-def _try_assignment(ctx: Context, system: _GeneratorSystem, Z1: Polynomial,
-                    z1sq: Polynomial, z2sq: Polynomial) -> dict:
-    nf = ctx.normal_form
+def _try_assignment(P: _Packing, system: _SystemRows, Z1: Elem,
+                    z1sq: Elem, z2sq: Elem) -> dict:
     b1 = system.b1
     # r1: lam2 * z1^2 + b1 = 0
-    lam2 = scalar_ratio(-b1, z1sq)
-    if lam2 is None or lam2 == 0:
+    ratio = _ratio(b1, z1sq)
+    if ratio is None or ratio == 0:
         return {"success": False, "reason": "no z1-rescaling solves r1",
                 "lambda2": None, "mu2": None, "lambda": None}
-    # r2: mu2 * z2^2 + lam * (x*z1*a2) + b2 = 0, linear in (mu2, lam)
+    lam2 = -ratio
+    # r2: mu2 * z2^2 + lam * (x*z1*a2) + b2 = 0, linear in (mu2, lam); on the
+    # numerators the unknowns are mu2*db/dz and lam*db/dc
     b2 = system.b2
-    cross = nf(system.X * Z1 * system.a2)
-    M, _ = _coordinates([z2sq.terms, cross.terms, (-b2).terms])
-    sol = linalg.solve([row[:2] for row in M], [row[2] for row in M])
+    cross = P.mul(P.mul(system.X, Z1), system.a2)
+    (rz, dz), (rc, dc), (rb, db) = z2sq, cross, b2
+    M, _ = _coordinates([rz, rc, rb])
+    sol = linalg.solve([row[:2] for row in M], [-row[2] for row in M])
     if sol is None:
         return {"success": False, "reason": "r2 has no (mu^2, lambda) solution",
                 "lambda2": str(lam2), "mu2": None, "lambda": None}
-    mu2, lam = sol
+    mu2, lam = sol[0] * dz / db, sol[1] * dc / db
     if mu2 == 0 or lam * lam != lam2:
         return {"success": False,
                 "reason": "r2 solution inconsistent with r1 rescaling",
                 "lambda2": str(lam2), "mu2": str(mu2), "lambda": str(lam)}
     # final exact check
-    r1 = nf(z1sq.scale(lam2) + b1)
-    r2 = nf(z2sq.scale(mu2) + cross.scale(lam) + b2)
-    ok = r1.is_zero() and r2.is_zero()
+    r1 = _lin([(lam2, z1sq), (1, b1)])
+    r2 = _lin([(mu2, z2sq), (lam, cross), (1, b2)])
+    ok = not r1[0] and not r2[0]
     return {"success": ok, "reason": "ok" if ok else "nonzero residual",
             "lambda2": str(lam2), "mu2": str(mu2), "lambda": str(lam)}
 
@@ -619,28 +716,18 @@ def generation_check(ctx: Context, upto: int,
     gens = list(generators) if generators is not None else list(ctx.t_generators())
     # a product of generators has at most `upto` factors
     P = ctx._packing(upto * max((g.max_weighted_degree() for g in gens), default=0))
-    # exponent vector -> normal form of that monomial in the generators;
-    # each product is a stored one of lower degree times one generator
-    products: Dict[tuple, Row] = {}
     rows, degs = [], []
-    for k, g in enumerate(gens):
+    for g in gens:
         row = P.reduce(P.pack(g)[0])
         d = ctx.bidegree(P.unpack(row))
         if d == "inhomogeneous" or d[0] != d[1] or d[0] < 1:
             raise S2EError("generators must have positive diagonal bidegree")
         degs.append(d[0])
-        rows.append(row)
-        products[tuple(int(i == k) for i in range(len(gens)))] = row
+        rows.append((row, 1))
+    products = _Products(P, rows)
     for m in range(1, upto + 1):
-        prods = []
-        for exps in weighted_exponents(degs, m):
-            row = products.get(exps)
-            if row is None:
-                k = next(i for i, e in enumerate(exps) if e)
-                lower = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
-                row = products[exps] = P.reduce(products[lower], rows[k])
-            prods.append(row)
-        M, _ = _coordinates(prods)
+        M, _ = _coordinates([products[tuple(k for k, e in enumerate(exps) for _ in range(e))][0]
+                             for exps in weighted_exponents(degs, m)])
         # rescaling rows and columns by nonzero scalars keeps the rank
         if linalg.rank(M) != m * (m + 1) // 2:
             return False

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from stratabench.bidouble import (PLANE, BuildingData, BuildingDataError,
                                   classify_point, known_examples,
                                   normalize_building_data,
                                   validate_building_data)
+from stratabench.poly import Polynomial
 
 
 def V(name):
@@ -110,6 +112,45 @@ def test_known_examples_all_validate_and_classify():
         assert got == tags, name
     with pytest.raises(BuildingDataError):
         known_examples("Z99")
+
+
+def _renamed(values, perm):
+    """A triple with entry i moved to position perm[i]."""
+    return tuple(values[perm.index(j)] for j in range(3))
+
+
+def _outcome(bd, point):
+    try:
+        c = classify_point(bd, point)
+    except BuildingDataError as exc:
+        return str(exc)
+    return c.tag, c.multiplicities
+
+
+def test_validity_and_class_invariant_under_renaming_coordinates():
+    # renaming x, y, z in the divisors and in the point is a projectivity,
+    # so neither validity nor the local class of a point may change
+    rng = random.Random(43)
+    x, y, z = V("x"), V("y"), V("z")
+    cases = [(known_examples(name), SPECIAL_POINTS[name]) for name in SPECIAL_POINTS]
+    cases.append((BuildingData(x, y ** 3, y * z * z), [(Fraction(0), Fraction(0), Fraction(1))]))
+    for bd, points in cases:
+        points = list(points)
+        # two seeded points on the line D0 (n x r lies on the line n . p = 0),
+        # and one most likely off the branch locus
+        n = [bd.D0.coeff(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        for _ in range(2):
+            r = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
+            points.append(tuple(n[i - 2] * r[i - 1] - n[i - 1] * r[i - 2] for i in range(3)))
+        points.append(tuple(Fraction(rng.randint(1, 97)) for _ in range(3)))
+        valid = validate_building_data(bd)["valid"]
+        outcomes = [_outcome(bd, pt) for pt in points]
+        for perm in itertools.permutations(range(3)):
+            moved = BuildingData(*(Polynomial(PLANE, {_renamed(e, perm): k
+                                                      for e, k in D.terms.items()})
+                                   for D in bd.divisors()))
+            assert validate_building_data(moved)["valid"] == valid
+            assert [_outcome(moved, _renamed(pt, perm)) for pt in points] == outcomes
 
 
 # -- normalisation ---------------------------------------------------------------

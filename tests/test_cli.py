@@ -125,6 +125,17 @@ def test_step_budget_caps_rref_in_s2e_verify():
     assert out.stderr.startswith("error: rref: spent the step budget of 20;")
 
 
+@pytest.mark.parametrize("flags", [["--alpha=1", "--beta=1"], ["--symbolic"]])
+def test_step_budget_caps_the_s2e_kernel(monkeypatch, capsys, flags):
+    # each normal form spends one step per term product; the first one
+    # with more than 5 trips the budget, numeric and symbolic alike
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "5")
+    assert dispatch(["s2e", "verify", "--a=2/3", "--b=-5/7"] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("error: s2e.normal_form: spent the step budget of 5;")
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--alpha=1"], "--alpha"), (["--beta=2"], "--beta"),
     (["--alpha=1", "--beta=1"], "--alpha or --beta")])

@@ -184,6 +184,14 @@ def test_projective_empty_examples():
     assert projective_empty([x, y ** 3, y * z * z]) is False
 
 
+def test_projective_empty_unit_ideal():
+    # V(1) is empty: the reduced basis {1} has the zeroth power of every variable
+    x, y, z = R3.var("x"), R3.var("y"), R3.var("z")
+    assert projective_empty([R3.one()]) is True
+    assert projective_empty([x, R3.one()]) is True
+    assert projective_empty([x * y - z * z, R3.const(3)]) is True
+
+
 def test_projective_empty_requires_unweighted_homogeneous():
     R = WeightedRing(("x", "y"), (1, 2))
     with pytest.raises(PolynomialError):

@@ -10,8 +10,8 @@ from stratabench.s2e import (Context, GluingParams, IdentityError, S2EError,
                              WeierstrassParams, antidiagonal_kernel,
                              conductor_vanishing_basis, factor_basis,
                              generation_check, invariant_basis, s_generators,
-                             verify_theorem_relations, _b1_poly, _coordinates)
-from stratabench.poly import Polynomial, WeightedRing, rename_into
+                             verify_theorem_relations, _coordinates)
+from stratabench.poly import Polynomial, WeightedRing, rename_into, scalar_ratio
 
 P11 = WeierstrassParams(Fraction(1), Fraction(1))
 G11 = GluingParams(Fraction(1), Fraction(1))
@@ -293,10 +293,142 @@ def test_theorem_relations_non_generic_rejected():
         verify_theorem_relations(ctx)
 
 
+# -- reference: the theorem search on Polynomials ------------------------------
+
+
+def _ref_s_elements(ctx):
+    """s0..s4, l1 and l2 by Polynomial arithmetic from the closed forms."""
+    t0, t1, t2, t3, t4, t5, _ = ctx.t_generators()
+    a, b = ctx.params.a, ctx.params.b
+    al, be = ctx.alpha, ctx.beta
+    s2 = (al * be * (2 * b) - be * be * a) * t0 ** 2 + al * al * b * t2 \
+        + (al * al * a + be * be) * t1
+    s3 = (al ** 3 * b * b + be ** 3 * b) * t0 ** 3 \
+        + (al ** 3 * a * b + al * be * be * (3 * b) - be ** 3 * a) * t0 * t2 \
+        + (al ** 3 * a * a + al * al * be * (3 * b)) * t0 * t1 \
+        + (-al ** 3 * b + al * al * be * a + be ** 3) * t3
+    l1 = (al * b - be * a) * t0 ** 4 + be * t0 ** 2 * t1 - be * t2 ** 2 \
+        - al * t1 * t2 - al * t0 * t3
+    l2 = be * b * t0 ** 4 + al * a * t0 ** 2 * t1 + al * b * t0 ** 2 * t2 \
+        - al * t1 ** 2 - be * t1 * t2 + be * t0 * t3
+    return {"s0": t0, "s1": al * t1 + be * t2, "s2": s2, "s3": s3,
+            "s4": al * t4 + be * t5, "l1": l1, "l2": l2}
+
+
+def _ref_b1(X, Y1, Y2, a, b):
+    return -(X ** 6 * b * b + X ** 4 * Y1 * a * b + Y1 ** 3 * b + X ** 4 * Y2 * a * a
+             - X ** 2 * Y1 * Y2 * (3 * b) + Y1 ** 2 * Y2 * a - X ** 2 * Y2 ** 2 * (2 * a)
+             + Y2 ** 3)
+
+
+def _ref_a2(X, Y1, Y2, al, be):
+    return -(X ** 2 * be * be * 2 + Y1 * al * be * 2 + Y2 * al * al * 2)
+
+
+def _ref_b2(X, Y1, Y2, a, b, al, be):
+    return -(X ** 6 * be * be * (2 * b)
+             + X ** 4 * Y1 * (al * be * (2 * b) + be * be * a)
+             + X ** 2 * Y1 ** 2 * (al * al * b)
+             + Y1 ** 3 * be * be
+             + X ** 4 * Y2 * (al * al * (-2 * b) + al * be * (4 * a))
+             + X ** 2 * Y1 * Y2 * (al * al * a - be * be * 3)
+             + Y1 ** 2 * Y2 * (al * be * 2)
+             - X ** 2 * Y2 ** 2 * (al * be * 4)
+             + Y1 * Y2 ** 2 * al * al)
+
+
+def _ref_try(ctx, X, Y1, Y2, Z1, z1sq, z2sq):
+    """One assignment: the images X, Y1, Y2 of x, y1, y2, the image Z1 of
+    z1, and the normal forms of z1^2 and z2^2."""
+    nf = ctx.normal_form
+    a, b, al, be = ctx.params.a, ctx.params.b, ctx.alpha, ctx.beta
+    b1 = nf(_ref_b1(X, Y1, Y2, a, b))
+    lam2 = scalar_ratio(-b1, z1sq)
+    if lam2 is None or lam2 == 0:
+        return {"success": False, "reason": "no z1-rescaling solves r1",
+                "lambda2": None, "mu2": None, "lambda": None}
+    b2 = nf(_ref_b2(X, Y1, Y2, a, b, al, be))
+    cross = nf(X * Z1 * _ref_a2(X, Y1, Y2, al, be))
+    M, _ = _coordinates([z2sq.terms, cross.terms, (-b2).terms])
+    sol = linalg.solve([row[:2] for row in M], [row[2] for row in M])
+    if sol is None:
+        return {"success": False, "reason": "r2 has no (mu^2, lambda) solution",
+                "lambda2": str(lam2), "mu2": None, "lambda": None}
+    mu2, lam = sol
+    if mu2 == 0 or lam * lam != lam2:
+        return {"success": False, "reason": "r2 solution inconsistent with r1 rescaling",
+                "lambda2": str(lam2), "mu2": str(mu2), "lambda": str(lam)}
+    ok = (nf(z1sq.scale(lam2) + b1).is_zero()
+          and nf(z2sq.scale(mu2) + cross.scale(lam) + b2).is_zero())
+    return {"success": ok, "reason": "ok" if ok else "nonzero residual",
+            "lambda2": str(lam2), "mu2": str(mu2), "lambda": str(lam)}
+
+
+def _ref_assignments(ctx):
+    """Every assignment of the theorem search, as `verify_theorem_relations`
+    reports it for a numeric context."""
+    els, t = _ref_s_elements(ctx), ctx.t_generators()
+    systems = {"s-system": (els["s0"], els["s1"], els["s2"]), "t-system": (t[0], t[2], t[1])}
+    zs = {"s3": els["s3"], "s4": els["s4"], "t3": t[3]}
+    results = []
+    for label, z1, z2 in (("s-system", "s3", "s4"), ("s-system", "s4", "s3"),
+                          ("t-system", "t3", "s4"), ("t-system", "s4", "t3")):
+        res = _ref_try(ctx, *systems[label], zs[z1], ctx.normal_form(zs[z1] * zs[z1]),
+                       ctx.normal_form(zs[z2] * zs[z2]))
+        res["assignment"] = f"{label} z=({z1},{z2})"
+        results.append(res)
+    return results
+
+
+def _oracle_contexts():
+    """Six seeded numeric contexts, denominators up to 7, and one symbolic."""
+    rng = random.Random(17)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    contexts = []
+    while len(contexts) < 6:
+        a, b, alpha, beta = (rational() for _ in range(4))
+        if 4 * a ** 3 + 27 * b ** 2 != 0 and alpha != 0 and beta != 0:
+            contexts.append(Context(WeierstrassParams(a, b), GluingParams(alpha, beta)))
+    return contexts + [Context(WeierstrassParams(Fraction(-7, 4), Fraction(5, 3)),
+                               symbolic=True)]
+
+
+def test_theorem_search_matches_the_polynomial_reference():
+    for ctx in _oracle_contexts():
+        expected = _ref_assignments(ctx)
+        if ctx.symbolic:
+            expected = [dict(r, reason="symbolic identity") for r in expected if r["success"]]
+        assert verify_theorem_relations(ctx)["assignments"] == expected
+        assert ctx.s_elements() == _ref_s_elements(ctx)
+
+
+def test_assignment_failures_match_the_polynomial_reference():
+    # off-model candidates for the t-system reach each way an assignment
+    # fails: no r1 rescaling, no r2 solution, and an r2 solution whose
+    # lambda does not square to r1's (z1 doubled but not its square)
+    ctx = _oracle_contexts()[0]
+    t, s4 = ctx.t_generators(), ctx.s_elements()["s4"]
+    E = ctx._elements
+    P = E.P
+    system = s2e._SystemRows(E, *(E.rows[k] for k in ("t0", "t2", "t1")))
+    reasons = set()
+    for Z1, Zsq, Z2 in ((s4, s4, t[3]), (t[3], t[3], t[3]), (2 * t[3], t[3], s4),
+                        (t[3], t[3], s4)):
+        expected = _ref_try(ctx, t[0], t[2], t[1], Z1, ctx.normal_form(Zsq * Zsq),
+                            ctx.normal_form(Z2 * Z2))
+        squares = [P.mul(P.pack(Z), P.pack(Z)) for Z in (Zsq, Z2)]
+        assert s2e._try_assignment(P, system, P.pack(Z1), *squares) == expected
+        reasons.add(expected["reason"])
+    assert len(reasons) == 4
+
+
 def test_b1_sign_pattern():
     # b1 contains -y2^3
     R = WeightedRing(("x", "y1", "y2"), (1, 2, 2))
-    b1 = _b1_poly(R.var("x"), R.var("y1"), R.var("y2"), Fraction(1), Fraction(1))
+    b1 = _ref_b1(R.var("x"), R.var("y1"), R.var("y2"), Fraction(1), Fraction(1))
     assert b1.coeff((0, 0, 3)) == -1
 
 
@@ -383,39 +515,46 @@ def test_enumeration_deterministic():
 
 
 def test_pipeline_builds_generators_once(monkeypatch):
-    # a rebuild hands out new Polynomial objects, so distinct ids count builds
-    from stratabench import s2e
-    seen = {"t": [], "s": [], "identities": []}
-    t_gens, s_els, s_gens = Context.t_generators, Context.s_elements, s2e.s_generators
+    # a rebuild hands out new objects, so distinct ids count builds
+    seen = {"t": [], "rows": [], "identities": []}
+    t_gens, s_gens = Context.t_generators, s2e.s_generators
 
     def record(kind, value, probe):
         seen[kind].append(probe(value))
         return value
 
+    class Elements(s2e._Elements):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            record("rows", self, lambda E: E)
+
     monkeypatch.setattr(Context, "t_generators",
                         lambda self: record("t", t_gens(self), lambda t: t))
-    monkeypatch.setattr(Context, "s_elements",
-                        lambda self: record("s", s_els(self), lambda d: d["s4"]))
+    monkeypatch.setattr(s2e, "_Elements", Elements)
     monkeypatch.setattr(s2e, "s_generators",
                         lambda ctx: record("identities", s_gens(ctx),
                                            lambda d: d["identity1_scalar"]))
     s2e.pipeline_report(P11, G11)
     assert {k: len({id(v) for v in vs}) for k, vs in seen.items()} == {
-        "t": 1, "s": 1, "identities": 1}
-    assert len(seen["identities"]) == 2
+        "t": 1, "rows": 1, "identities": 1}
+    assert len(seen["rows"]) == 1 and len(seen["identities"]) == 2
 
 
-def test_failed_identity_raises_on_every_call():
-    class Broken(Context):
-        def s_elements(self):
-            els = super().s_elements()
-            els["s3"] = els["s3"] + els["s0"] ** 3
-            return els
+def test_failed_identity_raises_on_every_call(monkeypatch):
+    class Broken(s2e._Elements):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            s0, mul = self.rows["s0"], self.P.mul
+            self.rows["s3"] = s2e._lin([(1, self.rows["s3"]), (1, mul(s0, mul(s0, s0)))])
 
-    ctx = Broken(P11, G11)
+    monkeypatch.setattr(s2e, "_Elements", Broken)
+    ctx = Context(P11, G11)
     for _ in range(2):
-        with pytest.raises(IdentityError, match="identity II"):
+        with pytest.raises(IdentityError, match="identity II") as failure:
             verify_theorem_relations(ctx)
+        # the residual of identity II is -t0 * s0^3 = -t0^4
+        assert failure.value.residual == -ctx.t_generators()[0] ** 4
+    monkeypatch.undo()
     assert s_generators(Context(P11, G11))["identity2_ok"]
 
 
@@ -454,7 +593,6 @@ def test_pipeline_normal_form_calls_are_bounded(monkeypatch):
     # generation_check builds each monomial product in t0..t6 once, from a
     # stored product of lower degree: 64 normal forms for upto = 6, not 179.
     # Every normal form, of a Polynomial or of a row, enters the one kernel.
-    from stratabench import s2e
     calls = []
     reduce = s2e._Packing.reduce
 
@@ -467,12 +605,26 @@ def test_pipeline_normal_form_calls_are_bounded(monkeypatch):
     assert len(calls) == 64
     calls.clear()
     s2e.pipeline_report(P_PIN, G11)
-    assert len(calls) == 151
-    # the theorem search builds b1 once per generator system and each
-    # z-square once: 10 normal forms, plus 3 for the two identities
+    assert len(calls) == 224
+    # every product between the t-generators and the report is a kernel
+    # call: 33 build the rows, 10 the two identities, and the theorem search
+    # takes 43, building b1 once per generator system, a2 and b2 only for
+    # the system that passes r1, and each z-square once
+    ctx = Context(P_PIN, symbolic=True)
+    ctx.t_generators()
+    products = []
+    mul = Polynomial.__mul__
+
+    def multiplied(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", multiplied)
+    monkeypatch.setattr(Polynomial, "__rmul__", multiplied)
     calls.clear()
-    verify_theorem_relations(Context(P_PIN, symbolic=True))
-    assert len(calls) == 13
+    verify_theorem_relations(ctx)
+    assert len(calls) == 86
+    assert products == []
 
 
 def _evidence_digest(seed=14, count=12, symbolic=3, top=6, den=3, coprime=False):
