@@ -3,6 +3,12 @@ chi = 2: canonical-ring models, bi-double covers, fibration numerics,
 gluing combinatorics, quartic implicitization and the symmetric-square
 pipeline.
 
+`StratabenchError` is the base of the errors that front ends report by
+class: a polynomial that is malformed or mixes rings (a polynomial
+document that does not parse among them) and a closed-form identity
+that fails.  It lives here so that the CLI decides every exit code
+without importing the modules that raise them.
+
 The step budget bounds the Groebner engine, the row updates of exact
 RREF, the term products of the S2E normal-form kernel and gluing
 enumeration.  It lives here so that linear algebra, S2E and gluing can
@@ -18,6 +24,10 @@ from typing import Optional
 __version__ = "0.1.0"
 
 DEFAULT_STEP_BUDGET = 2_000_000
+
+
+class StratabenchError(Exception):
+    """Base of `poly.PolynomialError` and `s2e.IdentityError`."""
 
 
 class BudgetExceeded(RuntimeError):

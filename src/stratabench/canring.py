@@ -134,6 +134,14 @@ class CanonicalRingModel:
         return CanonicalRingModel(*(poly.from_json(doc[k]) for k in ("a1", "a2", "b1", "b2")))
 
 
+def demo_model() -> CanonicalRingModel:
+    """a1 = a2 = 0, b1 = y1^3 + x^6, b2 = y2^3 + x^6: a valid model with
+    four points over the bicanonical base point (1:1:1)."""
+    x, y1, y2 = XY_RING.var("x"), XY_RING.var("y1"), XY_RING.var("y2")
+    zero = XY_RING.zero()
+    return CanonicalRingModel(zero, zero, y1 ** 3 + x ** 6, y2 ** 3 + x ** 6)
+
+
 @dataclass(frozen=True)
 class CanRingValidation:
     shape_ok: bool

@@ -20,12 +20,12 @@ from itertools import chain
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import json_list
+from . import StratabenchError, json_list
 
 Exponent = Tuple[int, ...]
 
 
-class PolynomialError(ValueError):
+class PolynomialError(StratabenchError, ValueError):
     """Raised on ill-formed polynomial operations (ring mismatch etc.)."""
 
 

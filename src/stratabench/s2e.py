@@ -36,7 +36,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import Budget, linalg, rational, step_budget
+from . import Budget, StratabenchError, linalg, rational, step_budget
 from .poly import Polynomial, WeightedRing, collect, to_json, weighted_exponents
 
 GEOM_VARS = ("z1", "x1", "y1", "z2", "x2", "y2")
@@ -230,7 +230,7 @@ class Context:
             self.alpha = self.beta = None
         # field width -> packing, made on first use
         self._packings: Dict[int, _Packing] = {}
-        # t_generators, s_elements and s_generators, built on first use
+        # t_generators, s_elements and check_identities, built on first use
         self._t = self._s = self._identities = None
 
     @cached_property
@@ -388,12 +388,12 @@ def _closed_forms(a, b) -> dict:
     The coefficients are pinned by the requirements that l1, l2 vanish on
     the conductor curve, that s1, s2, s3 restrict there to A*B, B^2, B^3
     for suitable generators A, B of the quotient ring of the conductor,
-    and by the two exact identities checked in s_generators.  (Swapping
+    and by the two exact identities checked in check_identities.  (Swapping
     the roles of t1 and t2 in every formula produces a second family that
     satisfies the same two identities but fails the vanishing requirement;
     the convention here is the geometrically consistent one.)
 
-    The left sides of the two identities of s_generators, in s0..s4, l1,
+    The left sides of the two identities of check_identities, in s0..s4, l1,
     l2 and t0 (indices 0..7):
       identity I  = s0^2*s2 - s1^2 - be*l1 - al*l2,
       identity II = s1*s2 + al^2*(b*l1 + a*l2) + be^2*l2 - t0*s3.
@@ -571,7 +571,7 @@ def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
     return [_combine(ctx, reduced[r], exps) for r in range(len(pivots))]
 
 
-class IdentityError(RuntimeError):
+class IdentityError(StratabenchError, RuntimeError):
     """A closed-form coefficient identity failed; carries the residual."""
 
     def __init__(self, message: str, residual: Polynomial):
@@ -579,9 +579,9 @@ class IdentityError(RuntimeError):
         self.residual = residual
 
 
-def s_generators(ctx: Context) -> dict:
-    """The elements s0..s4 plus the two exact identities tying them to
-    l1, l2 and the degree-4 kernel.
+def check_identities(ctx: Context) -> dict:
+    """The two exact identities tying s0..s4 to l1, l2 and the degree-4
+    kernel, as identity1_ok, identity1_scalar and identity2_ok.
 
     Identity I:  s0^2*s2 - s1^2 - (beta*l1 + alpha*l2) is a scalar
     multiple of t0*s4 (the scalar is solved for; it comes out 0).
@@ -589,24 +589,26 @@ def s_generators(ctx: Context) -> dict:
     Both are verified on the context's rows; failure raises IdentityError.
     Checked once per context; every call returns a fresh dict.
     """
-    if ctx._identities is not None:
-        return dict(ctx._identities)
-    E = ctx._elements
-    gens = _Products(E.P, [E.rows[k] for k in S_NAMES + ("t0",)])
-    lhs1 = E.evaluate("identity I", gens)
-    scalar = _ratio(lhs1, gens[(4, 7)])  # t0*s4
-    if scalar is None:
-        raise IdentityError("identity I (degree-4 kernel) failed", E.P.unpack(*lhs1))
-    lhs2 = E.evaluate("identity II", gens)
-    if lhs2[0]:
-        raise IdentityError("identity II (s3 pinning) failed", E.P.unpack(*lhs2))
+    if ctx._identities is None:
+        E = ctx._elements
+        gens = _Products(E.P, [E.rows[k] for k in S_NAMES + ("t0",)])
+        lhs1 = E.evaluate("identity I", gens)
+        scalar = _ratio(lhs1, gens[(4, 7)])  # t0*s4
+        if scalar is None:
+            raise IdentityError("identity I (degree-4 kernel) failed", E.P.unpack(*lhs1))
+        lhs2 = E.evaluate("identity II", gens)
+        if lhs2[0]:
+            raise IdentityError("identity II (s3 pinning) failed", E.P.unpack(*lhs2))
+        ctx._identities = {"identity1_ok": True, "identity1_scalar": scalar,
+                           "identity2_ok": True}
+    return dict(ctx._identities)
 
-    els = ctx.s_elements()
-    els["identity1_scalar"] = scalar
-    els["identity1_ok"] = True
-    els["identity2_ok"] = True
-    ctx._identities = els
-    return dict(els)
+
+def s_generators(ctx: Context) -> dict:
+    """The elements s0..s4, l1 and l2 of `Context.s_elements` plus the
+    identity keys of `check_identities`, which is checked first."""
+    identities = check_identities(ctx)
+    return {**ctx.s_elements(), **identities}
 
 
 # -- theorem relations ---------------------------------------------------------
@@ -650,7 +652,7 @@ def verify_theorem_relations(ctx: Context) -> dict:
         raise S2EError("gluing parameters required")
     if not ctx.symbolic and not ctx.glue.generic:
         raise S2EError("non-generic conductor")
-    s_generators(ctx)  # raises IdentityError unless both identities hold
+    check_identities(ctx)  # raises IdentityError unless both identities hold
     E = ctx._elements
     rows = E.rows
     systems = {"s-system": _SystemRows(E, rows["s0"], rows["s1"], rows["s2"]),
@@ -745,7 +747,7 @@ def pipeline_report(params: WeierstrassParams, glue: GluingParams) -> dict:
     dims = {m: n * (n + 1) // 2 for m, n in sizes.items()}
     anti3 = antidiagonal_kernel(ctx, 3)
     cond = {m: conductor_vanishing_basis(ctx, m) for m in range(2, 6)}
-    gens = s_generators(ctx)
+    gens = check_identities(ctx)
     thm = verify_theorem_relations(ctx)
     return {
         "params": {"a": str(params.a), "b": str(params.b),

@@ -9,16 +9,10 @@ from stratabench.canring import (BINARY_RING, CANONICAL_RING, XY_RING,
                                  NonGenericBase, bicanonical_fiber_count,
                                  ci_hilbert_series,
                                  classify_relative_automorphisms,
-                                 del_pezzo_report, elliptic_involution_a6,
+                                 del_pezzo_report, demo_model, elliptic_involution_a6,
                                  random_model, rr_prediction, validate_canring)
 from stratabench.groebner import buchberger, leading_monomial, poly_gcd
 from stratabench.poly import Polynomial, weighted_exponents
-
-
-def demo_model():
-    x, y1, y2 = XY_RING.var("x"), XY_RING.var("y1"), XY_RING.var("y2")
-    zero = XY_RING.zero()
-    return CanonicalRingModel(zero, zero, y1 ** 3 + x ** 6, y2 ** 3 + x ** 6)
 
 
 # -- Hilbert series -------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_identity_error_is_one_line(monkeypatch, capsys):
     def broken(ctx):
         raise s2e.IdentityError("identity II (s3 pinning) failed", ctx.ring.one())
 
-    monkeypatch.setattr(s2e, "s_generators", broken)
+    monkeypatch.setattr(s2e, "check_identities", broken)
     assert dispatch(["s2e", "verify", "--symbolic"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: identity II") and len(err.splitlines()) == 1
@@ -281,6 +281,65 @@ def test_json_loaders_end_in_an_exit_code(argv_doc):
     assert len(err.getvalue().splitlines()) == (code != 0)
 
 
+def _slots(node):
+    """Every (container, key) pair below a JSON document, in document order."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in list(items):
+        yield node, key
+        yield from _slots(child)
+
+
+COEFFICIENTS = st.sampled_from(["1/0", "-3/4", "1e2", "2.5", "abc", "", " 7"])
+
+
+@st.composite
+def polynomial_documents(draw, subcommand):
+    """The demo canring model or the Z1 building data, with one to three
+    parts each replaced by a value of some JSON type or a coefficient
+    string, deleted, or (a list) lengthened by one item; one time in ten
+    the whole document is replaced."""
+    from stratabench import bidouble, canring
+    if subcommand == "canring":
+        argv, doc = ["canring", "--model"], canring.demo_model().to_json()
+    else:
+        argv, doc = ["bidouble", "--data"], bidouble.known_examples("Z1").to_json()
+    if draw(st.integers(0, 9)) == 0:
+        return argv, draw(VALUES)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["replace", "delete", "lengthen"]))
+        if action == "delete":
+            del container[key]
+        elif action == "lengthen" and isinstance(container[key], list):
+            container[key].append(draw(SCALARS))
+        else:
+            container[key] = draw(st.one_of(VALUES, COEFFICIENTS))
+    return argv, doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(polynomial_documents("canring"), polynomial_documents("bidouble"))
+def test_polynomial_documents_end_in_an_exit_code(model, data):
+    for argv, doc in (model, data):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, {"STRATABENCH_STEP_BUDGET": "2000"}):
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = dispatch(argv + [path])
+        # a model that parses but fails validation exits 1 with its report on stdout
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue() and len(err.getvalue().splitlines()) <= 1
+        if code == 2:
+            assert err.getvalue().startswith("usage error: ")
+
+
 def test_well_formed_invalid_model_is_a_verification_error(tmp_path, capsys):
     from stratabench import bidouble
     doc = bidouble.known_examples("Z1").to_json()
@@ -310,6 +369,22 @@ def test_negative_rational_option_values():
     doc = json.loads(out.stdout.split("\n", 1)[1])
     assert doc["evidence"]["a"] == "-9/4"
     assert run_cli("implicitize", "--a", "-9/4", "--b", "-x").returncode == 2
+
+
+@pytest.mark.parametrize("argv", [["hilbert", "--upto", "2/0"],
+                                  ["bidouble", "--example", "nope"],
+                                  ["nonsense"], []],
+                         ids=["bad-int", "bad-choice", "unknown-subcommand", "no-subcommand"])
+def test_argparse_rejection_is_one_usage_line(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("usage error: ") and len(out.stderr.splitlines()) == 1
+
+
+def test_help_keeps_its_usage_block():
+    out = run_cli("hilbert", "--help")
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.startswith("usage: stratabench hilbert [-h]")
 
 
 def test_classify_needs_three_coordinates(capsys):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stratabench import groebner, linalg, s2e
 from stratabench.s2e import (Context, GluingParams, IdentityError, S2EError,
-                             WeierstrassParams, antidiagonal_kernel,
+                             WeierstrassParams, antidiagonal_kernel, check_identities,
                              conductor_vanishing_basis, factor_basis,
                              generation_check, invariant_basis, s_generators,
                              verify_theorem_relations, _coordinates)
@@ -254,6 +254,9 @@ def test_s_generators_identities():
         out = s_generators(ctx)
         assert out["identity1_ok"] and out["identity2_ok"]
         assert out["identity1_scalar"] == 0
+        assert out == {**ctx.s_elements(), **check_identities(ctx)}
+        assert set(check_identities(ctx)) == {"identity1_ok", "identity1_scalar",
+                                              "identity2_ok"}
 
 
 def test_s_generators_symbolic():
@@ -517,7 +520,7 @@ def test_enumeration_deterministic():
 def test_pipeline_builds_generators_once(monkeypatch):
     # a rebuild hands out new objects, so distinct ids count builds
     seen = {"t": [], "rows": [], "identities": []}
-    t_gens, s_gens = Context.t_generators, s2e.s_generators
+    t_gens, identities = Context.t_generators, s2e.check_identities
 
     def record(kind, value, probe):
         seen[kind].append(probe(value))
@@ -531,9 +534,11 @@ def test_pipeline_builds_generators_once(monkeypatch):
     monkeypatch.setattr(Context, "t_generators",
                         lambda self: record("t", t_gens(self), lambda t: t))
     monkeypatch.setattr(s2e, "_Elements", Elements)
-    monkeypatch.setattr(s2e, "s_generators",
-                        lambda ctx: record("identities", s_gens(ctx),
+    monkeypatch.setattr(s2e, "check_identities",
+                        lambda ctx: record("identities", identities(ctx),
                                            lambda d: d["identity1_scalar"]))
+    # the report reads only the identity keys, so no s-element is unpacked
+    monkeypatch.setattr(Context, "s_elements", lambda self: pytest.fail("s_elements called"))
     s2e.pipeline_report(P11, G11)
     assert {k: len({id(v) for v in vs}) for k, vs in seen.items()} == {
         "t": 1, "rows": 1, "identities": 1}
