@@ -9,12 +9,12 @@ document that does not parse among them) and a closed-form identity
 that fails.  It lives here so that the CLI decides every exit code
 without importing the modules that raise them.
 
-The step budget bounds the Groebner engine, the row updates of exact
-RREF, the term products of the S2E normal-form kernel and gluing
-enumeration.  It lives here so that linear algebra, S2E and gluing can
-consult it without depending on the Groebner engine.  So do
-the JSON type checks that the document loaders share, and the exact
-rational check of the parameter constructors.
+The step budget is one protocol: `Budget(stage)` reads
+STRATABENCH_STEP_BUDGET, and `Budget.spend` alone raises BudgetExceeded,
+naming the stage and its steps.  It lives here so that every budgeted
+module can use it without depending on the Groebner engine.  So do the
+JSON type checks that the document loaders share, and the exact rational
+check of the parameter constructors.
 """
 
 import os
@@ -39,19 +39,20 @@ class BudgetSettingError(ValueError):
 
 
 class Budget:
-    """Steps left of one computation; `spend` raises once they run out."""
+    """Steps left of one stage out of `steps`, the step budget by default."""
 
     __slots__ = ("stage", "steps", "left")
 
-    def __init__(self, stage: str, steps: int):
-        self.stage, self.steps, self.left = stage, steps, steps
+    def __init__(self, stage: str, steps: Optional[int] = None):
+        self.stage = stage
+        self.steps = self.left = step_budget() if steps is None else steps
 
     def spend(self, n: int = 1):
         self.left -= n
         if self.left < 0:
             raise BudgetExceeded(
-                f"{self.stage}: spent the step budget of {self.steps}; "
-                f"raise STRATABENCH_STEP_BUDGET if intended")
+                f"{self.stage}: {self.steps - self.left} steps exceed the step budget of "
+                f"{self.steps}; raise STRATABENCH_STEP_BUDGET if intended")
 
 
 def step_budget() -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import BudgetExceeded, poly, step_budget
+from . import Budget, poly, rational
 from .forms import distinct_roots, resultant
 from .groebner import poly_gcd
 from .poly import Polynomial, WeightedRing, rename_into, weighted_exponents
@@ -44,19 +44,16 @@ def ci_hilbert_series(weights: Sequence[int], relation_degrees: Sequence[int],
     given generator weights and relation degrees, computed by exact
     integer power-series arithmetic.
 
-    Raises BudgetExceeded, before any arithmetic, when its cost of at
-    most (upto + 1) coefficient updates per weight and per relation
-    exceeds the step budget.
+    Spends its cost, at most (upto + 1) coefficient updates per weight
+    and per relation, under the stage "canring.hilbert_series" before any
+    arithmetic, so an over-budget series is refused without work.
     """
     if upto < 0:
         raise ModelError("upto must be non-negative")
     if any(w < 1 for w in weights) or any(d < 1 for d in relation_degrees):
         raise ModelError("weights and relation degrees must be positive")
-    cost, budget = (len(weights) + len(relation_degrees)) * (upto + 1), step_budget()
-    if cost > budget:
-        raise BudgetExceeded(
-            f"hilbert series: {cost} coefficient updates exceed the step budget "
-            f"of {budget}; raise STRATABENCH_STEP_BUDGET if intended")
+    Budget("canring.hilbert_series").spend(
+        (len(weights) + len(relation_degrees)) * (upto + 1))
     series = [0] * (upto + 1)
     series[0] = 1
     # 1 / (1 - t^w) is a cumulative sum with stride w
@@ -296,7 +293,7 @@ class DelPezzoModel:
     a6: Polynomial
 
     def __post_init__(self):
-        object.__setattr__(self, "a0", Fraction(self.a0))
+        object.__setattr__(self, "a0", rational(self.a0, "a0", ModelError))
         object.__setattr__(self, "a2", _into_binary(self.a2, 2, "a2"))
         object.__setattr__(self, "a4", _into_binary(self.a4, 4, "a4"))
         object.__setattr__(self, "a6", _into_binary(self.a6, 6, "a6"))
@@ -322,7 +319,7 @@ class DelPezzoModel:
     @staticmethod
     def from_json(doc: dict) -> "DelPezzoModel":
         return DelPezzoModel(
-            poly.fraction_from_str(doc["a0"]),
+            doc["a0"],
             poly.from_json(doc["a2"]),
             poly.from_json(doc["a4"]),
             poly.from_json(doc["a6"]),
@@ -362,7 +359,7 @@ def elliptic_involution_a6(l1, l2, l3) -> Polynomial:
     The genus-2 curve z^2 + a6 = 0 carries the elliptic involution
     x1 -> -x1; distinct nonzero branch parameters keep it nonsingular.
     """
-    ls = [Fraction(v) for v in (l1, l2, l3)]
+    ls = [rational(v, f"l{i}", ModelError) for i, v in enumerate((l1, l2, l3), 1)]
     if any(v == 0 for v in ls) or len(set(ls)) != 3:
         raise ModelError("degenerate sextic")
     x1, x2 = BINARY_RING.var("x1"), BINARY_RING.var("x2")

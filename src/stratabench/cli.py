@@ -347,14 +347,16 @@ SELFTESTS: Dict[str, Callable[[], Iterator[Tuple[str, bool]]]] = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a value such as -9/4 as a negative rational, not as an option.
+    """Reads a value such as -9/4, or a list such as -2,1 or -1:0:0, as a
+    value and not as an option.
 
     Subparsers inherit the class, so every subcommand accepts them.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+(/\d+)?|\d*\.\d+)([,:;]-?(\d+(/\d+)?|\d*\.\d+))*$")
 
     def error(self, message):
         """A rejection is a UsageError: one line, with no usage block."""

@@ -29,7 +29,7 @@ from math import comb, factorial, prod
 from typing import (Callable, Dict, FrozenSet, Hashable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple)
 
-from . import BudgetExceeded, json_int, json_list, step_budget
+from . import Budget, json_int, json_list
 
 
 class GluingError(ValueError):
@@ -455,16 +455,12 @@ def enumerate_gluings(config: MarkedConfig,
     lookup.  The orbit's least member represents it and alone gets the
     full `chi_check` report.
 
-    Raises BudgetExceeded, before building any candidate, when there are
-    more candidates than the step budget allows.  The budget counts every
-    candidate (`_candidate_count`), pruned or not, since each is still
-    built and validated.
+    Spends one step per candidate (`_candidate_count`), pruned or not,
+    since each is still built and validated, under the stage
+    "gluing.enumerate" before building any, so an over-budget config is
+    refused without work.
     """
-    count, budget = _candidate_count(config), step_budget()
-    if count > budget:
-        raise BudgetExceeded(
-            f"gluing enumeration: {count} candidate involutions exceed the step "
-            f"budget of {budget}; raise STRATABENCH_STEP_BUDGET if intended")
+    Budget("gluing.enumerate").spend(_candidate_count(config))
     group = _close_group(config, symmetry)
     seen = set()
     orbits = []

@@ -68,10 +68,10 @@ and unpacked at exit:
   break on (i, j) and the pairs are processed in the same sequence as a
   scan for the minimum would give.
 
-Every computation is budgeted: a step counter aborts with
-BudgetExceeded instead of hanging on an unexpectedly hard input.  The
-STRATABENCH_STEP_BUDGET environment variable overrides the default
-budget.
+Every computation is budgeted through `stratabench.Budget`, one step
+per S-pair and per reduction step under the stage "groebner.buchberger"
+or "groebner.normal_form", so a hard input ends in BudgetExceeded
+instead of a hang.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import Budget, BudgetExceeded, step_budget
+from . import Budget
 from .forms import determinant, sylvester
 from .poly import (Exponent, Polynomial, PolynomialError, WeightedRing, collect,
                    rename_into, revlex_key)
@@ -352,7 +352,7 @@ def normal_form(p: Polynomial, basis, order: Optional[MonomialOrder] = None) -> 
         raise PolynomialError("mixed rings")
 
     def run(packing: _Packing) -> Polynomial:
-        b = Budget("normal_form", step_budget())
+        b = Budget("groebner.normal_form")
         work, den = _integer_terms(p, packing)
         r, scale = _reduce(work, _Divisors(_rows(gens, packing), packing.guard), b)
         den *= scale
@@ -398,7 +398,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> Gr
 def _buchberger_rows(gens: Sequence[Polynomial], packing: _Packing) -> List[Row]:
     """The reduced Groebner basis of (gens) as primitive rows, largest
     leading monomial first."""
-    b = Budget("buchberger", step_budget())
+    b = Budget("groebner.buchberger")
     guard, coeffs, unpack = packing.guard, packing.coeffs, packing.unpack
 
     G: List[Row] = []

@@ -10,11 +10,11 @@ sparse dict {column: int} of its nonzero entries, cleared of
 denominators by their lcm.  A row update is
 row <- (p/g)*row - (f/g)*pivot_row with g = gcd(p, f), after which the
 row is divided by the gcd of its entries, so the integers stay small.
-Every row update spends one step of the shared step budget, under the
-stage name "rref".  The kernel returns the integer rows and their pivot
-columns; `rank` reads only the pivots, `nullspace` and `solve` build
-only the Fractions they return, and only `rref` builds the dense
-rational RREF.
+Every row update spends one step of the step budget under the stage
+"linalg.rref", whichever function called the kernel.  The kernel
+returns the integer rows and their pivot columns; `rank` reads only the
+pivots, `nullspace` and `solve` build only the Fractions they return,
+and only `rref` builds the dense rational RREF.
 """
 
 from __future__ import annotations
@@ -23,20 +23,21 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import Budget, step_budget
+from . import Budget
 
 Matrix = List[List[Fraction]]
 
 
 def _integer_row(row: Sequence[Fraction]) -> Dict[int, int]:
     """The nonzero entries of a rational row times the lcm of their
-    denominators, divided by the gcd of the results."""
+    denominators, divided by the gcd of the results; TypeError for a
+    nonzero entry that is neither an int nor a Fraction."""
     pairs = []
     for j, x in enumerate(row):
         if not x:
             continue
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
+        if type(x) is not int and type(x) is not Fraction:
+            raise TypeError(f"a matrix entry must be an int or a Fraction, got {x!r:.40}")
         pairs.append((j, x.numerator, x.denominator))
     den = lcm(*(d for _, _, d in pairs))
     return _primitive({j: n * (den // d) for j, n, d in pairs})
@@ -60,7 +61,7 @@ def _echelon(M: Sequence[Sequence[Fraction]]) -> Tuple[List[Dict[int, int]], Lis
     if any(len(row) != cols for row in M):
         raise ValueError("matrix rows differ in length")
     A = [_integer_row(row) for row in M]
-    budget = Budget("rref", step_budget())
+    budget = Budget("linalg.rref")
     pivots: List[int] = []
     r = 0
     for c in range(cols):

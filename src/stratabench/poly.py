@@ -38,14 +38,14 @@ class WeightedRing:
 
     def __post_init__(self):
         names = tuple(self.names)
-        weights = tuple(int(w) for w in self.weights)
+        weights = tuple(self.weights)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "weights", weights)
         if len(names) != len(weights):
             raise PolynomialError("names and weights must have equal length")
         if len(set(names)) != len(names) or any(not n for n in names):
             raise PolynomialError("variable names must be distinct and nonempty")
-        if any(w < 1 for w in weights):
+        if any(type(w) is not int or w < 1 for w in weights):
             raise PolynomialError("weights must be positive integers")
 
     @property

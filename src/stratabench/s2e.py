@@ -155,8 +155,8 @@ class _Packing:
 
         y1^(2*k1+r1) * y2^(2*k2+r2) becomes y1^r1 * y2^r2 * rhs1^k1 * rhs2^k2;
         rhs1 and rhs2 are y-free, so one pass leaves every y-exponent at most 1.
-        Each term product spends one step of the step budget, under the
-        stage name "s2e.normal_form".
+        A call with more term products than the step budget is refused
+        before the first, under the stage "s2e.normal_form".
         """
         if by is None:
             if not any(m & self.high for m in row):

@@ -272,6 +272,20 @@ def test_elliptic_involution_a6():
         elliptic_involution_a6(0, 1, 2)
 
 
+@pytest.mark.parametrize("value", [0.1, 2.0, True])
+def test_del_pezzo_numbers_refuse_floats_and_bools(value):
+    # 0.1 would be read as 3602879701896397/36028797018963968
+    zero = BINARY_RING.zero()
+    with pytest.raises(ModelError, match="^a0 must be an exact rational"):
+        DelPezzoModel(value, zero, zero, zero)
+    with pytest.raises(ModelError, match="^l2 must be an exact rational"):
+        elliptic_involution_a6(1, value, 3)
+    doc = DelPezzoModel(1, zero, zero, zero).to_json()
+    with pytest.raises(ModelError, match="^a0 must be an exact rational"):
+        DelPezzoModel.from_json({**doc, "a0": value})
+    assert DelPezzoModel("1/10", zero, zero, zero).a0 == Fraction(1, 10)
+
+
 def test_random_models_validate():
     rng = random.Random(23)
     for _ in range(5):

