@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -467,10 +468,16 @@ def dispatch(argv) -> int:
         except OSError as exc:
             print(f"usage error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
             return 2
-        print(f"{args.subcommand}: {verdict} (report written to {args.output})")
+        lines = (f"{args.subcommand}: {verdict} (report written to {args.output})",)
     else:
-        print(f"{args.subcommand}: {verdict}")
-        print(text)
+        lines = (f"{args.subcommand}: {verdict}", text)
+    try:
+        print(*lines, sep="\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; the interpreter's last
+        # flush of what is still buffered goes to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if verdict == "pass" else 1
 
 

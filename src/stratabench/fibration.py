@@ -2,9 +2,11 @@
 
 Canonical-bundle-formula evaluations, pluricanonical section counts on
 a genus-0 or genus-1 base, the exhaustive multiple-fibre solver, the
-admissibility test over the seven bielliptic types, the rank-2 lattice
-computation pinning the ramification class on the Hirzebruch surface
-F_1, and Euler-characteristic bookkeeping against the stratum table.
+admissibility test over the seven bielliptic types, the intersection
+form of the Hirzebruch surface F_1 (a class c*C0 + f*F is the pair
+(c, f)) pinning the ramification class there, and Euler-characteristic
+bookkeeping that reads its matches from the stratum table
+`NORMAL_STRATA`.
 """
 
 from __future__ import annotations
@@ -138,61 +140,27 @@ def bielliptic_admissible(row: BiellipticRow) -> Tuple[bool, Optional[Tuple[int,
     """
     if row not in BIELLIPTIC_TABLE:
         raise FibrationError("row is not one of the seven bielliptic types")
-    ratio = Fraction(row.mu, row.group_order)
-    if ratio == 1:
+    if row.mu == row.group_order:
         return True, (1, 1)
     return False, None
 
 
-# -- rank-2 lattice arithmetic -------------------------------------------------
+# -- the Hirzebruch surface F_1 -----------------------------------------------
+
+# A divisor class c*C0 + f*F on F_1 is the pair (c, f).
+C0 = (1, 0)
+FIB = (0, 1)
 
 
-@dataclass(frozen=True)
-class LatticeClass:
-    """A divisor class in a fixed rational lattice basis."""
-
-    coordinates: Tuple[Fraction, ...]
-    pairing: Tuple[Tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coordinates)
-        matrix = tuple(tuple(Fraction(x) for x in row) for row in self.pairing)
-        if any(len(row) != len(coords) for row in matrix) or len(matrix) != len(coords):
-            raise FibrationError("pairing matrix has wrong shape")
-        if any(matrix[i][j] != matrix[j][i]
-               for i in range(len(coords)) for j in range(len(coords))):
-            raise FibrationError("pairing matrix must be symmetric")
-        object.__setattr__(self, "coordinates", coords)
-        object.__setattr__(self, "pairing", matrix)
-
-    def dot(self, other: "LatticeClass") -> Fraction:
-        if self.pairing != other.pairing:
-            raise FibrationError("classes live in different lattices")
-        return sum(
-            a * self.pairing[i][j] * b
-            for i, a in enumerate(self.coordinates)
-            for j, b in enumerate(other.coordinates))
-
-    def __add__(self, other):
-        return LatticeClass(
-            tuple(a + b for a, b in zip(self.coordinates, other.coordinates)),
-            self.pairing)
-
-    def __neg__(self):
-        return LatticeClass(tuple(-a for a in self.coordinates), self.pairing)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "LatticeClass":
-        c = Fraction(c)
-        return LatticeClass(tuple(c * a for a in self.coordinates), self.pairing)
+def f1_intersection(x: Tuple, y: Tuple):
+    """The intersection number x.y on F_1: C0^2 = -1, C0.F = 1, F^2 = 0."""
+    (c, f), (d, g) = x, y
+    return -c * d + c * g + f * d
 
 
-# Hirzebruch surface F_1: basis (C0, F) with C0^2 = -1, C0.F = 1, F^2 = 0
-F1_PAIRING = ((Fraction(-1), Fraction(1)), (Fraction(1), Fraction(0)))
-C0 = LatticeClass((Fraction(1), Fraction(0)), F1_PAIRING)
-FIB = LatticeClass((Fraction(0), Fraction(1)), F1_PAIRING)
+def _combine(*terms) -> Tuple:
+    """The class sum of n * D over (n, D) terms, as a pair."""
+    return tuple(sum(n * D[i] for n, D in terms) for i in (0, 1))
 
 
 def hirzebruch_branch_solve() -> dict:
@@ -200,29 +168,26 @@ def hirzebruch_branch_solve() -> dict:
 
     With L = 2C0 + (k/2)F on F_1 and K = -2C0 - 3F, Riemann-Roch reads
     chi = 1 + (1/2) D.(D - K) for D = -2C0 - (k/2)F.  chi is linear in
-    k, so two exact lattice evaluations determine it; the solution must
-    be k = 10, i.e. the branch curve lies in |4C0 + 10F|.
+    k, so two exact evaluations determine it; the solution must be
+    k = 10, i.e. the branch curve lies in |4C0 + 10F|.
     """
-    K = (-C0.scale(2)) - FIB.scale(3)
+    K = _combine((-2, C0), (-3, FIB))
 
-    def chi(k: Fraction) -> Fraction:
-        D = -C0.scale(2) - FIB.scale(Fraction(k, 2))
-        return 1 + Fraction(1, 2) * D.dot(D - K)
+    def chi(k) -> Fraction:
+        D = _combine((-2, C0), (Fraction(-k, 2), FIB))
+        return 1 + Fraction(f1_intersection(D, _combine((1, D), (-1, K))), 2)
 
-    c0, c2 = chi(Fraction(0)), chi(Fraction(2))
-    slope = (c2 - c0) / 2
-    k = (3 - c0) / slope
-    if k.denominator != 1:
+    c0, c2 = chi(0), chi(2)
+    k = (3 - c0) / ((c2 - c0) / 2)
+    if k.denominator != 1 or chi(k) != 3:
         raise FibrationError("no integral solution for the branch class")
     k = int(k)
-    assert chi(k) == 3
     # the rewriting 4C0 + 7F = 7(C0 + F) - 3C0 used to pass to the plane
-    residual = (C0.scale(4) + FIB.scale(7)) - (C0 + FIB).scale(7) + C0.scale(3)
-    identity_ok = all(c == 0 for c in residual.coordinates)
-    section_check = (C0 + FIB).dot(C0) == 0
+    section = _combine((1, C0), (1, FIB))
+    residual = _combine((4, C0), (7, FIB), (-7, section), (3, C0))
     return {"k": k, "branch_class": f"4C0 + {k}F",
-            "rewrite_identity_ok": identity_ok,
-            "disjoint_section_check": section_check}
+            "rewrite_identity_ok": residual == (0, 0),
+            "disjoint_section_check": f1_intersection(section, C0) == 0}
 
 
 # -- chi bookkeeping -----------------------------------------------------------
@@ -240,6 +205,15 @@ NORMAL_STRATA: Tuple[dict, ...] = (
 )
 
 
+def _fits(pattern: str, degs: Tuple[int, ...]) -> bool:
+    """Does a `degrees` pattern such as "(1,1)" or "(d1,d2)" fit the sorted
+    degrees?  One slot per singularity; a digit slot is that degree, a
+    letter slot any degree."""
+    slots = [s for s in pattern.strip("()").split(",") if s]
+    return len(slots) == len(degs) and all(
+        not s.isdigit() or int(s) == d for s, d in zip(slots, degs))
+
+
 def chi_bookkeeping(chi_X: int, elliptic_singularity_degrees: Sequence[int]) -> dict:
     """chi of the minimal resolution and the matching stratum rows.
 
@@ -255,19 +229,7 @@ def chi_bookkeeping(chi_X: int, elliptic_singularity_degrees: Sequence[int]) -> 
     r = len(degs)
     chi_resolution = chi_X - r
     degree_ok = all(1 <= d <= 4 for d in degs)
-    matches: List[str] = []
-    if r == 0:
-        matches.append("general type")
-    elif r == 1:
-        if degs[0] == 1:
-            matches.append("minimal properly elliptic")
-        if degs[0] == 2:
-            matches.append("Enriques")
-        matches.append("rational")
-    elif r == 2:
-        if degs == (1, 1):
-            matches.extend(["torus", "bielliptic"])
-        matches.append("ruled over elliptic curve")
+    matches = [row["type"] for row in NORMAL_STRATA if _fits(row["degrees"], degs)]
     return {
         "r": r,
         "chi_resolution": chi_resolution,

@@ -495,14 +495,13 @@ def _coordinates(rows: Sequence[Mapping]):
     """Coefficient matrix of rows (or Polynomial term maps) w.r.t. their
     joint monomial support.
 
-    Returns (matrix, monomials); matrix rows are indexed by monomials,
-    columns by the inputs.  Packed monomials sort as their exponent
-    tuples do.  Absent monomials are the int 0, which `linalg` reads
-    without building a Fraction.
+    Matrix rows are indexed by the monomials in sorted order (packed
+    monomials sort as their exponent tuples do), columns by the inputs.
+    Absent monomials are the int 0, which `linalg` reads without
+    building a Fraction.
     """
     support = sorted(set().union(*rows)) if rows else []
-    M = [[r.get(mono, 0) for r in rows] for mono in support]
-    return M, support
+    return [[r.get(mono, 0) for r in rows] for mono in support]
 
 
 # -- the operations ------------------------------------------------------------
@@ -519,7 +518,7 @@ def antidiagonal_kernel(ctx: Context, m: int) -> List[Polynomial]:
         raise S2EError("m out of range (1..6)")
     exps = _invariant_exponents(ctx, m)
     P = ctx._packing(2 * m)
-    M, _ = _coordinates([_restrict_antidiagonal(P, r) for r in _invariant_rows(P, exps)])
+    M = _coordinates([_restrict_antidiagonal(P, r) for r in _invariant_rows(P, exps)])
     return [_combine(ctx, v, exps) for v in linalg.nullspace(M)]
 
 
@@ -560,8 +559,8 @@ def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
     P, t4 = E.P, E.rows["t4"][0]
     minus_s4 = {mono: -c for mono, c in E.rows["s4"][0].items()}
     basis = _invariant_rows(P, exps)
-    M, _ = _coordinates([P.reduce(p, t4) for p in basis]
-                        + [P.reduce(p, minus_s4) for p in basis])
+    M = _coordinates([P.reduce(p, t4) for p in basis]
+                     + [P.reduce(p, minus_s4) for p in basis])
     seen_rows = [v[:len(basis)] for v in linalg.nullspace(M)]
     if not all(map(any, seen_rows)):
         # a kernel vector with p = 0 means s4*h = 0 with h != 0; impossible in a domain
@@ -692,7 +691,7 @@ def _try_assignment(P: _Packing, system: _SystemRows, Z1: Elem,
     b2 = system.b2
     cross = P.mul(P.mul(system.X, Z1), system.a2)
     (rz, dz), (rc, dc), (rb, db) = z2sq, cross, b2
-    M, _ = _coordinates([rz, rc, rb])
+    M = _coordinates([rz, rc, rb])
     sol = linalg.solve([row[:2] for row in M], [-row[2] for row in M])
     if sol is None:
         return {"success": False, "reason": "r2 has no (mu^2, lambda) solution",
@@ -728,8 +727,8 @@ def generation_check(ctx: Context, upto: int,
         rows.append((row, 1))
     products = _Products(P, rows)
     for m in range(1, upto + 1):
-        M, _ = _coordinates([products[tuple(k for k, e in enumerate(exps) for _ in range(e))][0]
-                             for exps in weighted_exponents(degs, m)])
+        M = _coordinates([products[tuple(k for k, e in enumerate(exps) for _ in range(e))][0]
+                          for exps in weighted_exponents(degs, m)])
         # rescaling rows and columns by nonzero scalars keeps the rank
         if linalg.rank(M) != m * (m + 1) // 2:
             return False

@@ -105,7 +105,7 @@ def test_criterion_4_s2e_theorem():
             assert len(invariant_basis(ctx, m)) == m * (m + 1) // 2
         ker = antidiagonal_kernel(ctx, 3)
         t = ctx.t_generators()
-        M, _ = _coordinates([ctx.normal_form(p).terms for p in ker + [t[4], t[5]]])
+        M = _coordinates([ctx.normal_form(p).terms for p in ker + [t[4], t[5]]])
         assert len(ker) == 2
         assert linalg.rank(M) == 2  # kernel = span{t4, t5}
         for m in range(2, 6):

@@ -575,3 +575,30 @@ def test_file_errors_are_one_usage_line(tmp_path, monkeypatch, capsys, case):
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert str(path) in err
     assert out == ""
+
+
+def closed_early(argv, read_line):
+    """(first line read, exit code, stderr) of a run whose reader closes
+    stdout after reading `read_line` lines."""
+    proc = subprocess.Popen(RUN + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    line = proc.stdout.readline() if read_line else None
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    return line, proc.wait(timeout=60), stderr
+
+
+def test_reader_closing_the_pipe_early_is_no_error(tmp_path):
+    # a genus-1 (6, 6) report is 678 800 bytes, more than a pipe buffer
+    a = [f"a{i}" for i in range(6)]
+    b = [f"b{i}" for i in range(6)]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "components": [{"genus": 1, "marks": a}, {"genus": 1, "marks": b}],
+        "matching": [list(p) for p in zip(a, b)]}), encoding="utf-8")
+    assert closed_early(["glue", "--config", str(config)], True) == ("glue: pass\n", 0, "")
+    # the one status line of --output, to a reader that read nothing
+    report = tmp_path / "report.json"
+    assert closed_early(["--output", str(report), "catalog"], False) == (None, 0, "")
+    assert json.loads(report.read_text(encoding="utf-8"))["verdict"] == "pass"

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from stratabench import fibration
 from stratabench.fibration import (BIELLIPTIC_TABLE, BiellipticRow,
                                    FibrationData, FibrationError,
                                    bielliptic_admissible, chi_bookkeeping,
                                    hirzebruch_branch_solve, k_dot_multisection,
                                    plurigenus, solve_multiple_fibres,
-                                   stratum_catalog, C0, FIB)
+                                   stratum_catalog, f1_intersection, C0, FIB)
 
 
 def test_k_dot_multisection_examples():
@@ -93,11 +95,21 @@ def test_hirzebruch_branch_solve():
     assert out["disjoint_section_check"]
 
 
+def test_branch_solve_checks_its_solution(monkeypatch):
+    # with F^2 = 1 chi is quadratic in k: the linear solve gives k = -4,
+    # where chi is 6, and the check raises (it survives python -O)
+    monkeypatch.setattr(fibration, "f1_intersection", lambda x, y: x[1] * y[1])
+    with pytest.raises(FibrationError, match="no integral solution"):
+        hirzebruch_branch_solve()
+
+
 def test_lattice_pairing():
-    assert C0.dot(C0) == -1
-    assert C0.dot(FIB) == 1
-    assert FIB.dot(FIB) == 0
-    assert (C0 + FIB).dot(C0) == 0
+    assert f1_intersection(C0, C0) == -1
+    assert f1_intersection(C0, FIB) == f1_intersection(FIB, C0) == 1
+    assert f1_intersection(FIB, FIB) == 0
+    assert f1_intersection((1, 1), C0) == 0
+    # bilinear: (2C0 + 3F).(C0 - F) = -2 - 2 + 3
+    assert f1_intersection((2, 3), (1, -1)) == -1
 
 
 def test_chi_bookkeeping():
@@ -114,6 +126,37 @@ def test_chi_bookkeeping():
     assert r5["matching_types"] == ["general type"]
     r6 = chi_bookkeeping(2, [4])
     assert r6["valid"] and r6["matching_types"] == ["rational"]
+
+
+def reference_matches(degrees):
+    """The stratum rows a sorted degree tuple matches, as the per-type
+    branches of earlier versions of `chi_bookkeeping` listed them."""
+    r = len(degrees)
+    matches = []
+    if r == 0:
+        matches.append("general type")
+    elif r == 1:
+        if degrees[0] == 1:
+            matches.append("minimal properly elliptic")
+        if degrees[0] == 2:
+            matches.append("Enriques")
+        matches.append("rational")
+    elif r == 2:
+        if degrees == (1, 1):
+            matches.extend(["torus", "bielliptic"])
+        matches.append("ruled over elliptic curve")
+    return matches
+
+
+def test_chi_bookkeeping_reads_the_stratum_table_as_the_branches_did():
+    for r in range(4):
+        for degrees in combinations_with_replacement(range(1, 7), r):
+            matches = reference_matches(degrees)
+            degree_ok = all(d <= 4 for d in degrees)
+            assert chi_bookkeeping(2, degrees) == {
+                "r": r, "chi_resolution": 2 - r, "degrees": list(degrees),
+                "degree_bound_ok": degree_ok, "matching_types": matches,
+                "valid": degree_ok and bool(matches)}, degrees
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", Fraction(2)])

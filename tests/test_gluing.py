@@ -493,3 +493,46 @@ def test_orbit_count_by_burnside(config, symmetry):
     fixed = sum(_conjugate(inv, g) == inv for g in group for inv in passing)
     assert fixed % len(group) == 0
     assert len(enumerate_gluings(config, symmetry)) == fixed // len(group)
+
+
+def relabelled(config, symmetry, rng):
+    """The configuration with its marks renamed and its components, its
+    nodes and the two ends of each node reordered at random, and the
+    symmetry generators moved through the same relabelling."""
+    marks = sorted(config.component_of)
+    names = [f"r{i}" for i in range(len(marks))]
+    rng.shuffle(names)
+    rename = dict(zip(marks, names))
+    n = len(config.components)
+    move = rng.sample(range(n), n)          # component i becomes component move[i]
+    back = {j: i for i, j in enumerate(move)}
+    comps = tuple((config.components[back[j]][0],
+                   tuple(rename[m] for m in config.components[back[j]][1])) for j in range(n))
+    order = rng.sample(range(config.mu_bar), config.mu_bar)
+    matching = tuple(tuple(rename[m] for m in config.matching[k][::rng.choice((1, -1))])
+                     for k in order)
+    node_names = config.node_names and tuple(config.node_names[k] for k in order)
+    moved = [gluing.ConfigSymmetry(
+        tuple(move[g.component_perm[back[j]]] for j in range(n)),
+        tuple(sorted((rename[m], rename[im]) for m, im in g.mark_perm))) for g in symmetry]
+    return MarkedConfig(comps, matching, node_names), moved
+
+
+def orbit_invariants(config, symmetry):
+    orbits = enumerate_gluings(config, symmetry)
+    return len(orbits), Counter(
+        (config.mu_bar, o.representative.rho(), o.cusp_partition.mu1,
+         o.cusp_partition.sizes(), o.feasibility, o.orbit_size) for o in orbits)
+
+
+@pytest.mark.parametrize("config,symmetry", [
+    *[builtin_config(name) for name in BUILTINS],
+    *[(random_config(sizes, genera, seed), ()) for seed, (sizes, genera) in enumerate((
+        ((2, 2), (1, 1)), ((3, 3, 2), (1, 1, 1)), ((2, 2, 2, 2), (0, 0, 0, 0)),
+        ((4, 4), (0, 0)), ((4, 4, 2), (0, 0, 0)), ((8,), (1,))))],
+])
+def test_orbits_are_invariant_under_relabelling(config, symmetry):
+    rng = random.Random(repr(config))
+    expected = orbit_invariants(config, symmetry)
+    for _ in range(2):
+        assert orbit_invariants(*relabelled(config, symmetry, rng)) == expected

@@ -159,3 +159,26 @@ def test_parameters_refuse_floats_and_bools(slot, value):
     with pytest.raises(ImplicitizeError, match=f"^{slot} must be an exact rational"):
         closed_form_quartic(**args)
     assert closed_form_quartic("2/5", 3).poly == closed_form_quartic(Fraction(2, 5), 3).poly
+
+
+def test_pullback_vanishes_at_random_points_of_p1():
+    # `pullback_zero` substitutes the three quartics into the equation;
+    # this checks the same identity pointwise through `evaluate` alone
+    rng = random.Random(4)
+    done = 0
+    while done < 4:
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        try:
+            inp = ParametrizationInput(a, b)
+        except ImplicitizeError:
+            continue
+        quartic, _ = implicitize(inp)
+        xyz = build_parametrization(inp)
+        for _ in range(6):
+            uv = {"u": Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+                  "v": Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 9))}
+            image = {n: p.evaluate(uv) for n, p in zip("xyz", xyz)}
+            assert any(image.values()), (a, b, uv)
+            assert quartic.poly.evaluate(image) == 0, (a, b, uv)
+        done += 1

@@ -181,7 +181,7 @@ def test_invariant_basis_dimensions_and_invariance():
 
 
 def _span_equal(ctx, A, B):
-    MA, _ = _coordinates([ctx.normal_form(p).terms for p in A + B])
+    MA = _coordinates([ctx.normal_form(p).terms for p in A + B])
     ra = linalg.rank([row[:len(A)] for row in MA])
     rb = linalg.rank([row[len(A):] for row in MA])
     rab = linalg.rank(MA)
@@ -352,7 +352,7 @@ def _ref_try(ctx, X, Y1, Y2, Z1, z1sq, z2sq):
                 "lambda2": None, "mu2": None, "lambda": None}
     b2 = nf(_ref_b2(X, Y1, Y2, a, b, al, be))
     cross = nf(X * Z1 * _ref_a2(X, Y1, Y2, al, be))
-    M, _ = _coordinates([z2sq.terms, cross.terms, (-b2).terms])
+    M = _coordinates([z2sq.terms, cross.terms, (-b2).terms])
     sol = linalg.solve([row[:2] for row in M], [row[2] for row in M])
     if sol is None:
         return {"success": False, "reason": "r2 has no (mu^2, lambda) solution",
@@ -573,8 +573,8 @@ def test_conductor_m5_rref_work_is_pinned(monkeypatch):
     ctx = Context(P_PIN, G11)
     t4, s4 = ctx.t_generators()[4], ctx.s_elements()["s4"]
     basis = invariant_basis(ctx, 5)
-    M, _ = _coordinates([ctx.nf_mul(p, t4).terms for p in basis]
-                        + [ctx.nf_mul(p, -s4).terms for p in basis])
+    M = _coordinates([ctx.nf_mul(p, t4).terms for p in basis]
+                     + [ctx.nf_mul(p, -s4).terms for p in basis])
     assert (len(M), len(M[0])) == (63, 30)
     monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "130")
     _, pivots = linalg.rref(M)
