@@ -90,8 +90,7 @@ def classify_point(bd: BuildingData, point: Sequence[Fraction]) -> LocalSingular
     pt = [Fraction(c) for c in point]
     if all(c == 0 for c in pt):
         raise BuildingDataError("not a projective point")
-    chart = next(i for i in range(3) if pt[i] != 0)
-    local = [localize(D, pt, chart) for D in bd.divisors()]
+    local = [localize(D, pt) for D in bd.divisors()]
     mults = tuple(vanishing_order(p) for p in local)
     if all(m == 0 for m in mults):
         raise BuildingDataError("point does not lie on the branch divisor")

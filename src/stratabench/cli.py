@@ -259,89 +259,62 @@ def cmd_catalog(args) -> Tuple[str, dict]:
 # -- self tests ----------------------------------------------------------------
 
 
-def _selftest_hilbert():
-    from . import canring
-    series = canring.ci_hilbert_series((1, 2, 2, 3, 3), (6, 6), 12)
-    yield "hilbert_series_matches_rr", all(
-        series[m] == canring.rr_prediction(1, 2, 1, m) for m in range(1, 13))
-
-
-def _selftest_canring():
-    from . import canring
-    model = canring.demo_model()
-    report = canring.validate_canring(model)
-    yield "demo_model_valid", report.valid
-    base = (Fraction(1), Fraction(1), Fraction(1))
-    yield "fiber_count_is_4", canring.bicanonical_fiber_count(
-        model, base, validation=report) == 4
-
-
-def _selftest_bidouble():
+def _normalizes(v, e) -> bool:
+    # the handler reads a multiset only from a file, so this check calls the library
     from . import bidouble
-    for name, tag in (("Z1", "elliptic-degree-1"), ("Z4", "elliptic-degree-4")):
-        bd = bidouble.known_examples(name)
-        yield f"{name}_valid", bidouble.validate_building_data(bd)["valid"]
-        pt = bidouble.SPECIAL_POINTS[name][0]
-        yield f"{name}_point_tag", bidouble.classify_point(bd, pt).tag == tag
     d = bidouble.DivisorMultiset(
         (("line", 1), ("E", 1)),
         (("L1", 1), ("L2", 1), ("L3", 1), ("E", 3)),
         (("cubic", 1),))
-    out = bidouble.normalize_building_data(d)
-    yield "normalize", out.to_json() == {"D0": [["line", 1]],
-                                         "D1": [["L1", 1], ["L2", 1], ["L3", 1]],
-                                         "D2": [["E", 1], ["cubic", 1]]}
+    return bidouble.normalize_building_data(d).to_json() == {
+        "D0": [["line", 1]], "D1": [["L1", 1], ["L2", 1], ["L3", 1]],
+        "D2": [["E", 1], ["cubic", 1]]}
 
 
-def _selftest_fibration():
-    yield "fibration_checks", cmd_fibration(None)[0] == "pass"
+def _closed_form(v, e) -> bool:
+    from . import implicitize, poly
+    return e["quartic"] == poly.to_json(implicitize.closed_form_quartic(2, 3).poly)
 
 
-def _selftest_glue():
-    from . import gluing
-    config, sym = gluing.builtin_config("four-lines")
-    yield "four_lines_orbits", len(gluing.enumerate_gluings(config, sym)) == 3
-    config, sym = gluing.builtin_config("cubic-line")
-    yield "cubic_line_orbits", not gluing.enumerate_gluings(config, sym)
-    yield "minimum_nodes", gluing.minimum_nodes_check()["minimum"] == 3
-
-
-def _selftest_implicitize():
-    from . import implicitize
-    inp = implicitize.ParametrizationInput(Fraction(2), Fraction(3))
-    quartic, ver = implicitize.implicitize(inp)
-    yield "closed_form", quartic.poly == implicitize.closed_form_quartic(2, 3).poly
-    yield "pullback_zero", ver["pullback_zero"]
-    yield "nodes", all(ver["nodes"].values())
-
-
-def _selftest_s2e():
-    from . import s2e
-    params = s2e.WeierstrassParams(Fraction(1), Fraction(1))
-    glue = s2e.GluingParams(Fraction(1), Fraction(1))
-    rep = s2e.pipeline_report(params, glue)
-    yield "identity1", rep["identity1_ok"]
-    yield "identity2", rep["identity2_ok"]
-    yield "t_system_succeeds", rep["theorem"]["succeeding"].startswith("t-system")
-
-
-def _selftest_catalog():
-    cat = cmd_catalog(None)[1]
-    yield "normal_strata_count", cat["normal_strata_count"] == 7
-    yield "moduli_dimension", cat["moduli_dimension"] == 18
-
-
-# subcommand -> its checks, yielded in order as (name, ok)
-SELFTESTS: Dict[str, Callable[[], Iterator[Tuple[str, bool]]]] = {
-    "hilbert": _selftest_hilbert,
-    "canring": _selftest_canring,
-    "bidouble": _selftest_bidouble,
-    "fibration": _selftest_fibration,
-    "glue": _selftest_glue,
-    "implicitize": _selftest_implicitize,
-    "s2e": _selftest_s2e,
-    "catalog": _selftest_catalog,
+# subcommand -> {argv after the subcommand: its checks}; each argv runs the
+# handler once, and each check, in order, is (name, test of its verdict v
+# and evidence e)
+SELFTESTS: Dict[str, Dict[str, list]] = {
+    "hilbert": {"--rr 1,2,1": [("hilbert_series_matches_rr", lambda v, e: e["rr_agrees"])]},
+    "canring": {"--fiber 1:1:1": [("demo_model_valid", lambda v, e: e["validation"]["valid"]),
+                                  ("fiber_count_is_4", lambda v, e: e["fiber_count"] == 4)]},
+    "bidouble": {
+        "--example Z1 --classify 0:0:1": [
+            ("Z1_valid", lambda v, e: e["validation"]["valid"]),
+            ("Z1_point_tag", lambda v, e: e["classification"][0]["tag"] == "elliptic-degree-1")],
+        "--example Z4 --classify 0:0:1": [
+            ("Z4_valid", lambda v, e: e["validation"]["valid"]),
+            ("Z4_point_tag", lambda v, e: e["classification"][0]["tag"] == "elliptic-degree-4"),
+            ("normalize", _normalizes)]},
+    "fibration": {"": [("fibration_checks", lambda v, e: v == "pass")]},
+    "glue": {"--config four-lines": [("four_lines_orbits", lambda v, e: e["orbit_count"] == 3)],
+             "--config cubic-line": [("cubic_line_orbits", lambda v, e: e["orbit_count"] == 0)],
+             "--min-nodes": [("minimum_nodes",
+                              lambda v, e: e["minimum_nodes"]["minimum"] == 3)]},
+    "implicitize": {"--a 2 --b 3": [
+        ("closed_form", _closed_form),
+        ("pullback_zero", lambda v, e: e["verification"]["pullback_zero"]),
+        ("nodes", lambda v, e: all(e["verification"]["nodes"].values()))]},
+    "s2e": {"": [("identity1", lambda v, e: e["identity1_ok"]),
+                 ("identity2", lambda v, e: e["identity2_ok"]),
+                 ("t_system_succeeds",
+                  lambda v, e: e["theorem"]["succeeding"].startswith("t-system"))]},
+    "catalog": {"": [("normal_strata_count", lambda v, e: e["normal_strata_count"] == 7),
+                     ("moduli_dimension", lambda v, e: e["moduli_dimension"] == 18)]},
 }
+
+
+def _selftest(sub: str) -> Iterator[Tuple[str, bool]]:
+    """(name, ok) of each check of `sub`, in order."""
+    for argv, checks in SELFTESTS[sub].items():
+        verdict, evidence = HANDLERS[sub](_parser().parse_args([sub, *argv.split()]))
+        for name, ok in checks:
+            yield name, ok(verdict, evidence)
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -358,6 +331,12 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
             r"^-(\d+(/\d+)?|\d*\.\d+)([,:;]-?(\d+(/\d+)?|\d*\.\d+))*$")
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops the '--' of --flag=-- and would hand on no value
+        if arg_strings == ["--"] and action.option_strings:
+            raise argparse.ArgumentError(action, "expected a value, got '--'")
+        return super()._get_values(action, arg_strings)
 
     def error(self, message):
         """A rejection is a UsageError: one line, with no usage block."""
@@ -441,7 +420,7 @@ def dispatch(argv) -> int:
         args = _parser().parse_args(argv)
         if args.selftest:
             # the first failing check ends the run; later checks do not run
-            failed = next((name for name, ok in SELFTESTS[args.subcommand]() if not ok), None)
+            failed = next((name for name, ok in _selftest(args.subcommand) if not ok), None)
             verdict, evidence = "pass", {"selftest": True}
             if failed is not None:
                 verdict, evidence = "fail", {"selftest": False, "failed_check": failed}

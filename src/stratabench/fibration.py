@@ -205,13 +205,16 @@ NORMAL_STRATA: Tuple[dict, ...] = (
 )
 
 
-def _fits(pattern: str, degs: Tuple[int, ...]) -> bool:
-    """Does a `degrees` pattern such as "(1,1)" or "(d1,d2)" fit the sorted
-    degrees?  One slot per singularity; a digit slot is that degree, a
-    letter slot any degree."""
-    slots = [s for s in pattern.strip("()").split(",") if s]
-    return len(slots) == len(degs) and all(
-        not s.isdigit() or int(s) == d for s, d in zip(slots, degs))
+def _slots(pattern: str) -> Tuple[Optional[int], ...]:
+    """The slots of a `degrees` pattern such as "(1,1)" or "(d1,d2)", one
+    per singularity: a digit slot is that degree, a letter slot (None) any
+    degree."""
+    return tuple(int(s) if s.isdigit() else None
+                 for s in pattern.strip("()").split(",") if s)
+
+
+# (type, slots) of each row of NORMAL_STRATA, in table order
+_STRATUM_SLOTS = tuple((row["type"], _slots(row["degrees"])) for row in NORMAL_STRATA)
 
 
 def chi_bookkeeping(chi_X: int, elliptic_singularity_degrees: Sequence[int]) -> dict:
@@ -229,7 +232,8 @@ def chi_bookkeeping(chi_X: int, elliptic_singularity_degrees: Sequence[int]) -> 
     r = len(degs)
     chi_resolution = chi_X - r
     degree_ok = all(1 <= d <= 4 for d in degs)
-    matches = [row["type"] for row in NORMAL_STRATA if _fits(row["degrees"], degs)]
+    matches = [kind for kind, slots in _STRATUM_SLOTS if len(slots) == r and all(
+        s is None or s == d for s, d in zip(slots, degs))]
     return {
         "r": r,
         "chi_resolution": chi_resolution,

@@ -125,10 +125,13 @@ def resultant(cf: Sequence[Fraction], cg: Sequence[Fraction]) -> Fraction:
 # -- local plane geometry ----------------------------------------------------------
 
 
-def localize(p: Polynomial, point: Sequence[Fraction], chart: int) -> Polynomial:
-    """Dehomogenise a plane polynomial in the given chart and translate
-    the point to the origin of AFFINE."""
+def localize(p: Polynomial, point: Sequence[Fraction]) -> Polynomial:
+    """Dehomogenise a plane polynomial in the chart of the point's first
+    nonzero coordinate and translate the point to the origin of AFFINE."""
     pt = [Fraction(c) for c in point]
+    chart = next((i for i in range(3) if pt[i] != 0), None)
+    if chart is None:
+        raise PolynomialError("(0:0:0) is not a point of the projective plane")
     scale = pt[chart]
     pt = [c / scale for c in pt]
     s, t = AFFINE.var("s"), AFFINE.var("t")

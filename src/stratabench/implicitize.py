@@ -161,9 +161,7 @@ def verify_node(q: PlaneQuartic, point: Sequence[Fraction]) -> bool:
     point; Euler's relation x*q_x + y*q_y + z*q_z = 4q gives the third
     projective partial.
     """
-    pt = [Fraction(c) for c in point]
-    chart = next(i for i in range(3) if pt[i] != 0)
-    local = localize(q.poly, pt, chart)
+    local = localize(q.poly, point)
     if vanishing_order(local) != 2:
         return False
     return is_squarefree_form(form_coeffs(initial_form(local)))

@@ -9,7 +9,7 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stratabench.cli import dispatch
 
@@ -342,6 +342,51 @@ def test_polynomial_documents_end_in_an_exit_code(model, data):
             assert err.getvalue().startswith("usage error: ")
 
 
+# every numeric and path flag, after the arguments that make it reachable
+NUMERIC_FLAGS = [(["hilbert"], "--weights"), (["hilbert"], "--relations"),
+                 (["hilbert"], "--upto"), (["hilbert"], "--rr"), (["canring"], "--fiber"),
+                 (["bidouble", "--example=Z1"], "--classify"),
+                 (["implicitize", "--b=3"], "--a"), (["implicitize", "--a=2"], "--b"),
+                 (["s2e", "verify"], "--a"), (["s2e", "verify"], "--b"),
+                 (["s2e", "verify"], "--alpha"), (["s2e", "verify"], "--beta")]
+PATH_FLAGS = [(["canring"], "--model"), (["bidouble"], "--data"),
+              (["bidouble"], "--normalize"), (["glue"], "--config")]
+SEED_VALUES = ["--", "1/0", "0x10", "1_000", "1e3", "9" * 400, "1/" + "7" * 400, ""]
+FLAG_VALUES = st.one_of(st.sampled_from(SEED_VALUES), st.text("-0123456789/.e_", max_size=6))
+
+
+@st.composite
+def flag_runs(draw):
+    """An argv with one numeric flag set to a seed or random value, or a
+    list of up to three of them; or with one path flag (or --output)
+    set to a seed value, a missing path or a directory."""
+    if draw(st.booleans()):
+        prefix, flag = draw(st.sampled_from(NUMERIC_FLAGS))
+        value = draw(st.sampled_from(",:")).join(draw(st.lists(FLAG_VALUES, min_size=1,
+                                                               max_size=3)))
+        return prefix + [f"{flag}={value}"]
+    value = draw(st.sampled_from(SEED_VALUES + ["missing.json", "."]))
+    if draw(st.integers(0, 4)) == 0:
+        return [f"--output={value}", "catalog"]
+    prefix, flag = draw(st.sampled_from(PATH_FLAGS))
+    return prefix + [f"{flag}={value}"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag_runs())
+def test_every_flag_value_ends_in_an_exit_code(monkeypatch, tmp_path, argv):
+    # one budget and one working directory for every example: a small
+    # budget bounds each run, and --output writes only below tmp_path
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "100")
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and len(err.getvalue().splitlines()) <= 1
+
+
 def test_well_formed_invalid_model_is_a_verification_error(tmp_path, capsys):
     from stratabench import bidouble
     doc = bidouble.known_examples("Z1").to_json()
@@ -363,6 +408,32 @@ def test_failed_selftest_names_its_check(monkeypatch, capsys):
     doc = json.loads(capsys.readouterr().out.split("\n", 1)[1])
     assert doc["verdict"] == "fail"
     assert doc["evidence"] == {"selftest": False, "failed_check": "hilbert_series_matches_rr"}
+
+
+def test_selftest_reads_the_report_of_its_handler(monkeypatch, capsys):
+    import stratabench.cli as cli
+    handler = cli.HANDLERS["s2e"]
+
+    def identity2_fails(args):
+        verdict, evidence = handler(args)
+        return verdict, dict(evidence, identity2_ok=False)
+
+    monkeypatch.setitem(cli.HANDLERS, "s2e", identity2_fails)
+    assert dispatch(["s2e", "--selftest"]) == 1
+    doc = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+    assert doc["evidence"] == {"selftest": False, "failed_check": "identity2"}
+
+
+@pytest.mark.parametrize("sub, runs", [
+    ("hilbert", 1), ("canring", 1), ("bidouble", 2), ("fibration", 1), ("glue", 3),
+    ("implicitize", 1), ("s2e", 1), ("catalog", 1)])
+def test_selftest_runs_its_handler_once_per_argv(monkeypatch, capsys, sub, runs):
+    import stratabench.cli as cli
+    handler, calls = cli.HANDLERS[sub], []
+    monkeypatch.setitem(cli.HANDLERS, sub, lambda args: calls.append(args) or handler(args))
+    assert dispatch([sub, "--selftest"]) == 0
+    assert len(calls) == runs and not any(args.selftest for args in calls)
+    capsys.readouterr()
 
 
 def test_negative_rational_option_values():
@@ -397,6 +468,24 @@ def test_argparse_rejection_is_one_usage_line(argv):
     out = run_cli(*argv)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.startswith("usage error: ") and len(out.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["implicitize", "--a=--", "--b=3"], ["implicitize", "--a=2", "--b=--"],
+    ["s2e", "verify", "--a=--"], ["s2e", "verify", "--b=--"],
+    ["s2e", "verify", "--alpha=--"], ["s2e", "verify", "--beta=--"],
+    ["hilbert", "--weights=--"], ["hilbert", "--relations=--"], ["hilbert", "--upto=--"],
+    ["hilbert", "--rr=--"], ["glue", "--config=--"], ["canring", "--model=--"],
+    ["canring", "--fiber=--"], ["bidouble", "--data=--"], ["bidouble", "--normalize=--"],
+    ["bidouble", "--example=Z1", "--classify=--"], ["bidouble", "--example=--"],
+    ["--output=--", "catalog"]], ids=lambda argv: " ".join(argv))
+def test_double_dash_value_is_one_usage_line(argv, capsys):
+    # argparse drops the '--' of --flag=--, which would leave the flag no value
+    flag = next(a for a in argv if a.endswith("=--"))[:-3]
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: argument {flag}: expected a value, got '--'\n"
 
 
 def test_help_keeps_its_usage_block():

@@ -6,6 +6,7 @@ import pytest
 from stratabench.forms import (AFFINE, PLANE, determinant, distinct_roots, form_coeffs,
                                gcd, initial_form, is_squarefree_form, localize, resultant,
                                sylvester, vanishing_order)
+from stratabench.poly import PolynomialError
 
 F = Fraction
 
@@ -63,11 +64,22 @@ def test_local_geometry():
     x, y, z = PLANE.var("x"), PLANE.var("y"), PLANE.var("z")
     s, t = AFFINE.var("s"), AFFINE.var("t")
     node = y * y * z - x * x * (x + z)
-    local = localize(node, (F(0), F(0), F(1)), 2)
+    local = localize(node, (F(0), F(0), F(1)))
     assert vanishing_order(local) == 2
     assert initial_form(local) == t * t - s * s
     assert form_coeffs(initial_form(local)) == [F(1), F(0), F(-1)]
-    assert vanishing_order(localize(node, (F(1), F(1), F(1)), 2)) == 0
+    assert vanishing_order(localize(node, (F(1), F(1), F(1)))) == 0
+
+
+def test_localize_picks_the_chart_of_the_first_nonzero_coordinate():
+    x, y, z = PLANE.var("x"), PLANE.var("y"), PLANE.var("z")
+    s, t = AFFINE.var("s"), AFFINE.var("t")
+    # (0:3:1) lies in the chart y = 1, where it is (x, z) = (0, 1/3)
+    assert localize(y, (F(0), F(3), F(1))) == AFFINE.one()
+    assert localize(x + z, (F(0), F(3), F(1))) == s + t + AFFINE.const(F(1, 3))
+    assert localize(z, (F(2), F(0), F(1))) == t + AFFINE.const(F(1, 2))
+    with pytest.raises(PolynomialError, match="not a point"):
+        localize(x, (F(0), F(0), F(0)))
 
 
 def test_against_sympy():

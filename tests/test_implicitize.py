@@ -105,8 +105,7 @@ def _gradient_node_predicate(q, point):
         return False
     if any(p.differentiate(n).evaluate(values) != 0 for n in "xyz"):
         return False
-    chart = next(i for i in range(3) if point[i] != 0)
-    local = localize(p, point, chart)
+    local = localize(p, point)
     return (vanishing_order(local) == 2
             and is_squarefree_form(form_coeffs(initial_form(local))))
 
