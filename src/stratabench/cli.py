@@ -333,9 +333,14 @@ class _Parser(argparse.ArgumentParser):
             r"^-(\d+(/\d+)?|\d*\.\d+)([,:;]-?(\d+(/\d+)?|\d*\.\d+))*$")
 
     def _get_values(self, action, arg_strings):
-        # argparse drops the '--' of --flag=-- and would hand on no value
-        if arg_strings == ["--"] and action.option_strings:
-            raise argparse.ArgumentError(action, "expected a value, got '--'")
+        if action.option_strings:
+            # argparse drops the '--' of --flag=-- and would hand on no value
+            if arg_strings == ["--"]:
+                raise argparse.ArgumentError(action, "expected a value, got '--'")
+            # the handlers read an empty value of a flag with no default as
+            # an absent flag; an empty --weights or --relations is an empty list
+            if arg_strings == [""] and action.default is None:
+                raise argparse.ArgumentError(action, "expected a value, got ''")
         return super()._get_values(action, arg_strings)
 
     def error(self, message):

@@ -87,18 +87,14 @@ def solve_multiple_fibres(k_min: int,
     if bound < 2:
         raise FibrationError("bound must be at least 2")
     rs = [r_fixed] if r_fixed is not None else list(range(0, 5))
-    out = set()
+    # with D = lcm(2..bound), s = D*(-1 + sum (m_i-1)/m_i) is an integer and k = D/s
+    D = lcm(*range(2, bound + 1))
+    out = []
     for r in rs:
         for ms in combinations_with_replacement(range(2, bound + 1), r):
-            s = Fraction(-1) + sum(Fraction(m - 1, m) for m in ms)
-            if s <= 0:
-                continue
-            inv = 1 / s
-            if inv.denominator != 1:
-                continue
-            k = int(inv)
-            if k_min <= k <= bound:
-                out.add((k, tuple(sorted(ms))))
+            s = sum(D - D // m for m in ms) - D
+            if s > 0 and D % s == 0 and k_min <= D // s <= bound:
+                out.append((D // s, ms))
     return sorted(out)
 
 

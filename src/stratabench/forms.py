@@ -1,21 +1,26 @@
 """Dense binary forms and local plane geometry.
 
 A univariate polynomial, or a binary form of formal degree d, is a list
-of Fraction coefficients [c_0, ..., c_d] from the constant term up; the
+of rational coefficients [c_0, ..., c_d] from the constant term up; the
 binary form reads sum c_i s^i t^(d-i).  Trailing zeros of a form are
 roots at infinity (t = 0).  These are the exact primitives the model
 checks share: gcd, distinct roots, squarefreeness, the Sylvester
-matrix, the determinant and the resultant.
+matrix, the determinant and the resultant.  The resultant clears each
+list's denominators once and works on the integer row L*[c_0, ..., c_d],
+L the lcm of the denominators; only its result is a Fraction.
 
 The local half moves a point of the projective plane to the origin of
 an affine chart and reads off vanishing orders and initial forms there.
+`localize` builds its translations s + a and t + b directly and leaves
+the integer work to `Polynomial.substitute`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import truediv
-from typing import Callable, Dict, List, Sequence
+from math import lcm
+from operator import floordiv
+from typing import Callable, List, Sequence
 
 from .poly import Polynomial, PolynomialError, WeightedRing
 
@@ -117,9 +122,21 @@ def determinant(M: Sequence[Sequence], zero, one, divide: Callable):
 def resultant(cf: Sequence[Fraction], cg: Sequence[Fraction]) -> Fraction:
     """Resultant of two binary forms given by formal coefficient lists.
 
-    It vanishes exactly when the forms share a projective root.
+    It vanishes exactly when the forms share a projective root.  The
+    lists of formal degrees m and n are scaled to integer rows by the
+    lcms Lf and Lg of their denominators, the Sylvester determinant of
+    the rows is taken with exact integer division, and the result is
+    that determinant over Lf^n * Lg^m.
     """
-    return determinant(sylvester(cf, cg, Fraction(0)), Fraction(0), Fraction(1), truediv)
+    if not cf or not cg:
+        raise PolynomialError("a binary form needs at least one coefficient")
+    rows, scales = [], []
+    for coeffs in (cf, cg):
+        L = lcm(*(c.denominator for c in coeffs))
+        rows.append([c.numerator * (L // c.denominator) for c in coeffs])
+        scales.append(L)
+    det = determinant(sylvester(rows[0], rows[1], 0), 0, 1, floordiv)
+    return Fraction(det, scales[0] ** (len(cg) - 1) * scales[1] ** (len(cf) - 1))
 
 
 # -- local plane geometry ----------------------------------------------------------
@@ -132,13 +149,10 @@ def localize(p: Polynomial, point: Sequence[Fraction]) -> Polynomial:
     chart = next((i for i in range(3) if pt[i] != 0), None)
     if chart is None:
         raise PolynomialError("(0:0:0) is not a point of the projective plane")
-    scale = pt[chart]
-    pt = [c / scale for c in pt]
-    s, t = AFFINE.var("s"), AFFINE.var("t")
+    images = {PLANE.names[chart]: 1}
     others = [i for i in range(3) if i != chart]
-    images: Dict[str, Polynomial] = {PLANE.names[chart]: AFFINE.one()}
-    images[PLANE.names[others[0]]] = s + AFFINE.const(pt[others[0]])
-    images[PLANE.names[others[1]]] = t + AFFINE.const(pt[others[1]])
+    for i, var in zip(others, ((1, 0), (0, 1))):
+        images[PLANE.names[i]] = Polynomial(AFFINE, {var: 1, (0, 0): pt[i] / pt[chart]})
     return p.substitute(images)
 
 

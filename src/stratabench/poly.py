@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm, prod
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -267,7 +268,17 @@ class Polynomial:
     def substitute(self, assignment: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution; images must share one target ring.
 
-        Every variable actually occurring in self must be assigned.
+        Every variable actually occurring in self must be assigned; an
+        image is a Polynomial or a rational constant.
+
+        The arithmetic runs on integers.  Let L be the lcm of self's
+        coefficient denominators, write image i as the integer row
+        (exponent -> int) row_i over the lcm D_i of its denominators,
+        and let top_i be the highest exponent of variable i in self.
+        The term c * prod x_i^k_i becomes the integer row
+        c*L * prod D_i^(top_i - k_i) * prod row_i^k_i, from cached
+        integer powers of the rows; the rows are summed in one dict of
+        ints, and each output term gets one Fraction(N, L * prod D_i^top_i).
         """
         used = self.variables_used()
         missing = [n for n in used if n not in assignment]
@@ -277,24 +288,38 @@ class Polynomial:
         if len(targets) > 1:
             raise PolynomialError("substitution images live in different rings")
         target = targets.pop() if targets else self.ring
-        images = {}
-        for n in used:
+        one = (0,) * target.nvars
+        slots = [self.ring.index(n) for n in used]
+        tops = [max(e[i] for e in self.terms) for i in slots]
+        denoms, powers = [], []
+        for n, top in zip(used, tops):
             img = assignment[n]
-            if not isinstance(img, Polynomial):
-                img = target.const(img)
-            images[self.ring.index(n)] = img
-        # cache powers per variable to keep repeated exponents cheap
-        powcache: Dict[Tuple[int, int], Polynomial] = {}
-        terms = []
+            img = img.terms if isinstance(img, Polynomial) else {one: Fraction(img)}
+            D = lcm(*(c.denominator for c in img.values()))
+            row = {e: c.numerator * (D // c.denominator) for e, c in img.items()}
+            pw = [None, row]
+            for _ in range(top - 1):
+                pw.append(_mul_rows(pw[-1], row))
+            denoms.append(D)
+            powers.append(pw)
+        L = lcm(*(c.denominator for c in self.terms.values()))
+        acc: Dict[Exponent, int] = {}
+        get = acc.get
         for e, c in self.terms.items():
-            term = target.const(c)
-            for i, k in enumerate(e):
+            a = c.numerator * (L // c.denominator)
+            row = None
+            for i, top, D, pw in zip(slots, tops, denoms, powers):
+                k = e[i]
+                a *= D ** (top - k)
                 if k:
-                    if (i, k) not in powcache:
-                        powcache[i, k] = images[i] ** k
-                    term = term * powcache[i, k]
-            terms.extend(term.terms.items())
-        return collect(target, terms)
+                    row = pw[k] if row is None else _mul_rows(row, pw[k])
+            if row is None:
+                acc[one] = get(one, 0) + a
+            else:
+                for f, v in row.items():
+                    acc[f] = get(f, 0) + a * v
+        den = L * prod(D ** top for D, top in zip(denoms, tops))
+        return Polynomial._of(target, {f: Fraction(n, den) for f, n in acc.items() if n})
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at a rational point; every used variable needs a value."""
@@ -350,6 +375,17 @@ def collect(ring: WeightedRing, pairs: Iterable[Tuple[Exponent, Fraction]]) -> P
         prev = get(e)
         out[e] = c if prev is None else prev + c
     return Polynomial._of(ring, {e: c for e, c in out.items() if c})
+
+
+def _mul_rows(r1: Dict[Exponent, int], r2: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    """Product of two integer rows (exponent -> int), dropping zeros."""
+    out: Dict[Exponent, int] = {}
+    get = out.get
+    for e1, c1 in r1.items():
+        for e2, c2 in r2.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def weighted_exponents(weights: Sequence[int], degree: int) -> List[Exponent]:

@@ -488,6 +488,24 @@ def test_double_dash_value_is_one_usage_line(argv, capsys):
     assert err == f"usage error: argument {flag}: expected a value, got '--'\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["glue", "--config="], ["canring", "--model="], ["canring", "--fiber="],
+    ["bidouble", "--data="], ["bidouble", "--normalize="],
+    ["bidouble", "--example=Z1", "--classify="], ["bidouble", "--example="],
+    ["--output=", "catalog"], ["hilbert", "--rr="], ["implicitize", "--a=", "--b=3"],
+    ["implicitize", "--a=2", "--b="], ["s2e", "verify", "--alpha="],
+    ["s2e", "verify", "--beta="]], ids=lambda argv: " ".join(argv))
+def test_empty_value_is_one_usage_line(argv, capsys):
+    # the handlers' `if args.<flag>:` tests would read '' as an absent flag
+    flag = next(a for a in argv if a.endswith("="))[:-1]
+    i = argv.index(flag + "=")
+    for form in (argv, argv[:i] + [flag, ""] + argv[i + 1:]):
+        assert dispatch(form) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: argument {flag}: expected a value, got ''\n"
+
+
 def test_help_keeps_its_usage_block():
     out = run_cli("hilbert", "--help")
     assert out.returncode == 0 and out.stderr == ""

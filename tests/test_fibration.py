@@ -64,6 +64,23 @@ def test_solve_multiple_fibres_examples():
     assert solve_multiple_fibres(2, 1, 12) == []
 
 
+def _fraction_solve(k_min, r_fixed=None, bound=12):
+    """The multiple-fibre search summing Fraction(m - 1, m) per tuple."""
+    out = set()
+    for r in ([r_fixed] if r_fixed is not None else range(5)):
+        for ms in combinations_with_replacement(range(2, bound + 1), r):
+            s = -1 + sum(Fraction(m - 1, m) for m in ms)
+            if s > 0 and (1 / s).denominator == 1 and k_min <= 1 / s <= bound:
+                out.add((int(1 / s), ms))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("args", [(1,), (2,), (1, 3), (1, 4), (1, None, 20), (2, 3, 12)],
+                         ids=str)
+def test_solve_multiple_fibres_matches_the_fraction_search(args):
+    assert solve_multiple_fibres(*args) == _fraction_solve(*args)
+
+
 def test_solver_stable_in_bound():
     assert solve_multiple_fibres(2, 3, 12) == solve_multiple_fibres(2, 3, 20)
 

@@ -57,6 +57,13 @@ def test_resultant_examples():
     assert resultant([F(-1), F(1)], [F(-2), F(2)]) == 0
     # a common root at infinity: both forms have formal degree above their degree
     assert resultant([F(1), F(0)], [F(2), F(1), F(0)]) == 0
+    assert resultant([1, 0], [2, 1, 0]) == 0
+    # a1*b0 - a0*b1 for linear forms, over the denominators 3, 2 and 5
+    assert resultant([F(-1, 3), F(1, 2)], [F(1), F(1, 5)]) == F(17, 30)
+    assert type(resultant([1, 2], [3, 4])) is F
+    for cf, cg in (([], [1, 2]), ([1, 2], []), ([], [])):
+        with pytest.raises(PolynomialError, match="at least one coefficient"):
+            resultant(cf, cg)
     assert sylvester([1, 2], [3, 4, 5], 0) == [[2, 1, 0], [0, 2, 1], [5, 4, 3]]
 
 
@@ -92,6 +99,15 @@ def test_against_sympy():
         return sp.Poly([sp.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
                        or [0], z, domain="QQ")
 
+    def formal_sylvester_det(f, g):
+        # highest coefficient first, n rows of f and m rows of g
+        m, n = len(f) - 1, len(g) - 1
+        rat = [sp.Rational(c.numerator, c.denominator) for c in reversed(f)]
+        rows = [[0] * r + rat + [0] * (n - 1 - r) for r in range(n)]
+        rat = [sp.Rational(c.numerator, c.denominator) for c in reversed(g)]
+        rows += [[0] * r + rat + [0] * (m - 1 - r) for r in range(m)]
+        return sp.Matrix(rows).det() if rows else 1
+
     for trial in range(60):
         if trial % 3 == 0:
             # f has the repeated factor h, which g shares
@@ -114,6 +130,14 @@ def test_against_sympy():
             det = sylvester_matrix(pf.as_expr(), pg.as_expr(), z).det()
             assert resultant(f, g) == F(str(det))
             assert (resultant(f, g) == 0) == (sp.gcd(pf, pg).degree() > 0)
+        # formal degrees: a zero leading coefficient is a root at infinity,
+        # which both forms have in one trial in four and g alone in another;
+        # the denominators, up to 12, differ between the two lists
+        f = [c / rng.randint(1, 12) for c in f] + ([F(0)] if trial % 4 == 1 else [])
+        g = [c / rng.randint(1, 12) for c in g] + ([F(0)] if trial % 4 in (1, 2) else [])
+        assert resultant(f, g) == F(str(formal_sylvester_det(f, g)))
+        if not f[-1] and not g[-1]:
+            assert resultant(f, g) == 0
 
 
 def test_determinant_matches_sympy():

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stratabench import poly, s2e
 from stratabench.poly import Polynomial, PolynomialError, WeightedRing
@@ -58,6 +58,15 @@ def test_substitute_examples():
 def test_substitute_missing_assignment():
     with pytest.raises(PolynomialError, match="missing assignment"):
         (R5.var("x") + R5.var("y1")).substitute({"x": R2.var("u")})
+
+
+def test_substitute_refuses_images_in_two_rings():
+    RB = WeightedRing(("A", "B"), (1, 1))
+    with pytest.raises(PolynomialError, match="different rings"):
+        (R5.var("x") * R5.var("y1")).substitute({"x": R2.var("u"), "y1": RB.var("A")})
+    # the images of unused variables count too
+    with pytest.raises(PolynomialError, match="different rings"):
+        R5.var("x").substitute({"x": R2.var("u"), "z2": RB.var("A")})
 
 
 def test_differentiate_examples():
@@ -202,3 +211,47 @@ def test_collect_sums_and_drops_zeros():
                           ((2, 2), Fraction(0))])
     assert r.terms == {(0, 1): Fraction(3)}
     assert poly.collect(R2, []) == R2.zero()
+
+
+RT = WeightedRing(("s", "t"), (1, 1))
+rational = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+def _naive_substitute(p, images):
+    """Sum of c * prod img_i^k_i, by Polynomial * and ** on Fractions."""
+    target = next((img.ring for img in images.values() if isinstance(img, Polynomial)), p.ring)
+    out = target.zero()
+    for e, c in p.terms.items():
+        term = target.const(c)
+        for name, k in zip(p.ring.names, e):
+            img = images[name]
+            term = term * (img if isinstance(img, Polynomial) else target.const(img)) ** k
+        out = out + term
+    return out
+
+
+def _rational_poly(ring, max_exp, max_terms):
+    exp = st.tuples(*[st.integers(0, max_exp) for _ in ring.names])
+    return st.dictionaries(exp, rational, max_size=max_terms).map(
+        lambda d: Polynomial(ring, d))
+
+
+image = st.one_of(_rational_poly(RT, 2, 3), rational, st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_rational_poly(R3, 3, 5), st.fixed_dictionaries({n: image for n in R3.names}),
+       rational, rational)
+@example(R3.zero(), {"v": RT.var("s"), "w": 2, "u": Fraction(1, 3)}, Fraction(1), Fraction(2))
+@example(R3.var("v") ** 2 + R3.var("u"), {"v": RT.zero(), "w": RT.var("t"), "u": Fraction(-1, 4)},
+         Fraction(1, 2), Fraction(3))
+def test_substitute_matches_the_naive_expansion(p, images, s, t):
+    # images over distinct denominators, constant images, variables that
+    # are assigned but unused, and the zero polynomial (an empty dict)
+    result = p.substitute(images)
+    assert result == _naive_substitute(p, images)
+    _assert_clean(result, result.ring)
+    point = {"s": s, "t": t} if result.ring == RT else {}
+    values = {n: img.evaluate(point) if isinstance(img, Polynomial) else Fraction(img)
+              for n, img in images.items()}
+    assert result.evaluate(point) == p.evaluate(values)
