@@ -13,13 +13,15 @@ The step budget is one protocol: `Budget(stage)` reads
 STRATABENCH_STEP_BUDGET, and `Budget.spend` alone raises BudgetExceeded,
 naming the stage and its steps.  It lives here so that every budgeted
 module can use it without depending on the Groebner engine.  So do the
-JSON type checks that the document loaders share, and the exact rational
-check of the parameter constructors.
+JSON type checks that the document loaders share, the exact rational
+check of the parameter constructors, and `integer_terms`, the one way
+rationals become the integer rows that the exact kernels work on.
 """
 
 import os
 from fractions import Fraction
-from typing import Optional
+from math import lcm
+from typing import Mapping, Optional, Tuple
 
 __version__ = "0.1.0"
 
@@ -79,6 +81,13 @@ def rational(value, what: str, error: type) -> Fraction:
     if isinstance(value, (float, bool)):
         raise error(f"{what} must be an exact rational, got {value!r:.40}")
     return Fraction(value)
+
+
+def integer_terms(terms: Mapping) -> Tuple[dict, int]:
+    """(row, den): the rational values of `terms` times the lcm `den` of
+    their denominators, as ints under the same keys, zeros kept."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return {k: c.numerator * (den // c.denominator) for k, c in terms.items()}, den
 
 
 def json_list(value, what: str, kind: Optional[type] = None,

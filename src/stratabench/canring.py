@@ -310,7 +310,7 @@ class DelPezzoModel:
 
     def to_json(self) -> dict:
         return {
-            "a0": poly.fraction_to_str(self.a0),
+            "a0": str(self.a0),
             "a2": poly.to_json(self.a2),
             "a4": poly.to_json(self.a4),
             "a6": poly.to_json(self.a6),

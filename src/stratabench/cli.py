@@ -23,16 +23,28 @@ from . import BudgetExceeded, BudgetSettingError, StratabenchError
 
 T = TypeVar("T")
 
+# The most digits of a numerator or a denominator in a rational flag;
+# the step budget does not count coefficient size.
+MAX_DIGITS = 100
+
 
 class UsageError(Exception):
     pass
 
 
 def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"not a rational number: {text!r} ({exc})") from None
+    # Fraction("1e<n>") builds 10**n first; a five-digit n gives any nonzero value
+    # over MAX_DIGITS digits (at most 4300 are read each side of the point)
+    exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
+    if not (exponent and len(exponent[1].replace("_", "").lstrip("+-0")) > 4):
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"not a rational number: {text!r} ({exc})") from None
+        if max(abs(value.numerator), value.denominator) < 10 ** MAX_DIGITS:
+            return value
+    raise UsageError(f"a rational flag has at most {MAX_DIGITS} digits in its numerator "
+                     f"and its denominator, got {text!r:.60}")
 
 
 def _point(text: str, flag: str) -> Tuple[Fraction, ...]:

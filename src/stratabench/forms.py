@@ -5,9 +5,8 @@ of rational coefficients [c_0, ..., c_d] from the constant term up; the
 binary form reads sum c_i s^i t^(d-i).  Trailing zeros of a form are
 roots at infinity (t = 0).  These are the exact primitives the model
 checks share: gcd, distinct roots, squarefreeness, the Sylvester
-matrix, the determinant and the resultant.  The resultant clears each
-list's denominators once and works on the integer row L*[c_0, ..., c_d],
-L the lcm of the denominators; only its result is a Fraction.
+matrix, the determinant and the resultant.  The resultant works on the
+integer rows of its two lists; only its result is a Fraction.
 
 The local half moves a point of the projective plane to the origin of
 an affine chart and reads off vanishing orders and initial forms there.
@@ -18,10 +17,10 @@ the integer work to `Polynomial.substitute`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import floordiv
 from typing import Callable, List, Sequence
 
+from . import integer_terms
 from .poly import Polynomial, PolynomialError, WeightedRing
 
 PLANE = WeightedRing(("x", "y", "z"), (1, 1, 1))
@@ -130,13 +129,9 @@ def resultant(cf: Sequence[Fraction], cg: Sequence[Fraction]) -> Fraction:
     """
     if not cf or not cg:
         raise PolynomialError("a binary form needs at least one coefficient")
-    rows, scales = [], []
-    for coeffs in (cf, cg):
-        L = lcm(*(c.denominator for c in coeffs))
-        rows.append([c.numerator * (L // c.denominator) for c in coeffs])
-        scales.append(L)
-    det = determinant(sylvester(rows[0], rows[1], 0), 0, 1, floordiv)
-    return Fraction(det, scales[0] ** (len(cg) - 1) * scales[1] ** (len(cf) - 1))
+    (f, Lf), (g, Lg) = (integer_terms(dict(enumerate(c))) for c in (cf, cg))
+    det = determinant(sylvester(list(f.values()), list(g.values()), 0), 0, 1, floordiv)
+    return Fraction(det, Lf ** (len(cg) - 1) * Lg ** (len(cf) - 1))
 
 
 # -- local plane geometry ----------------------------------------------------------

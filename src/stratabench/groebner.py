@@ -79,11 +79,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import Budget
+from . import Budget, integer_terms
 from .forms import determinant, sylvester
 from .poly import (Exponent, Polynomial, PolynomialError, WeightedRing, collect,
                    rename_into, revlex_key)
@@ -226,18 +226,11 @@ def _row(terms: Dict[int, int], lm: int) -> Row:
     return lm, terms[lm] // g, [(e, c // g) for e, c in terms.items() if e != lm]
 
 
-def _integer_terms(p: Polynomial, packing: _Packing) -> Tuple[Dict[int, int], int]:
-    """The terms of p, packed, times the lcm `den` of their denominators,
-    and `den`."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    pack = packing.pack
-    return {pack(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}, den
-
-
 def _rows(polys: Sequence[Polynomial], packing: _Packing) -> List[Row]:
+    pack = packing.pack
     out = []
     for p in polys:
-        terms, _ = _integer_terms(p, packing)
+        terms, _ = integer_terms({pack(e): c for e, c in p.terms.items()})
         out.append(_row(terms, max(terms)))
     return out
 
@@ -353,7 +346,8 @@ def normal_form(p: Polynomial, basis, order: Optional[MonomialOrder] = None) -> 
 
     def run(packing: _Packing) -> Polynomial:
         b = Budget("groebner.normal_form")
-        work, den = _integer_terms(p, packing)
+        pack = packing.pack
+        work, den = integer_terms({pack(e): c for e, c in p.terms.items()})
         r, scale = _reduce(work, _Divisors(_rows(gens, packing), packing.guard), b)
         den *= scale
         unpack = packing.unpack

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm, prod
+from math import prod
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import StratabenchError, json_list
+from . import StratabenchError, integer_terms, json_list
 
 Exponent = Tuple[int, ...]
 
@@ -234,23 +234,22 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return collect(self.ring, ((tuple(map(add, e1, e2)), c1 * c2)
-                                   for e1, c1 in self.terms.items()
-                                   for e2, c2 in other.terms.items()))
+        (r1, d1), (r2, d2) = integer_terms(self.terms), integer_terms(other.terms)
+        return _from_row(self.ring, _mul_rows(r1, r2), d1 * d2)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise PolynomialError("negative power")
-        result = self.ring.one()
-        base = self
+        base, den = integer_terms(self.terms)
+        result, den = {(0,) * self.ring.nvars: 1}, den ** n
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = _mul_rows(result, base)
+            base = _mul_rows(base, base) if n > 1 else base
             n >>= 1
-        return result
+        return _from_row(self.ring, result, den)
 
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
@@ -271,10 +270,10 @@ class Polynomial:
         Every variable actually occurring in self must be assigned; an
         image is a Polynomial or a rational constant.
 
-        The arithmetic runs on integers.  Let L be the lcm of self's
-        coefficient denominators, write image i as the integer row
-        (exponent -> int) row_i over the lcm D_i of its denominators,
-        and let top_i be the highest exponent of variable i in self.
+        The arithmetic runs on integers.  Write self as an integer row
+        over the lcm L of its coefficient denominators, image i as the
+        integer row row_i over the lcm D_i of its denominators, and let
+        top_i be the highest exponent of variable i in self.
         The term c * prod x_i^k_i becomes the integer row
         c*L * prod D_i^(top_i - k_i) * prod row_i^k_i, from cached
         integer powers of the rows; the rows are summed in one dict of
@@ -294,19 +293,17 @@ class Polynomial:
         denoms, powers = [], []
         for n, top in zip(used, tops):
             img = assignment[n]
-            img = img.terms if isinstance(img, Polynomial) else {one: Fraction(img)}
-            D = lcm(*(c.denominator for c in img.values()))
-            row = {e: c.numerator * (D // c.denominator) for e, c in img.items()}
+            row, D = integer_terms(img.terms if isinstance(img, Polynomial)
+                                   else {one: Fraction(img)})
             pw = [None, row]
             for _ in range(top - 1):
                 pw.append(_mul_rows(pw[-1], row))
             denoms.append(D)
             powers.append(pw)
-        L = lcm(*(c.denominator for c in self.terms.values()))
+        ints, L = integer_terms(self.terms)
         acc: Dict[Exponent, int] = {}
         get = acc.get
-        for e, c in self.terms.items():
-            a = c.numerator * (L // c.denominator)
+        for e, a in ints.items():
             row = None
             for i, top, D, pw in zip(slots, tops, denoms, powers):
                 k = e[i]
@@ -318,8 +315,7 @@ class Polynomial:
             else:
                 for f, v in row.items():
                     acc[f] = get(f, 0) + a * v
-        den = L * prod(D ** top for D, top in zip(denoms, tops))
-        return Polynomial._of(target, {f: Fraction(n, den) for f, n in acc.items() if n})
+        return _from_row(target, acc, L * prod(D ** top for D, top in zip(denoms, tops)))
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at a rational point; every used variable needs a value."""
@@ -388,6 +384,11 @@ def _mul_rows(r1: Dict[Exponent, int], r2: Dict[Exponent, int]) -> Dict[Exponent
     return {e: c for e, c in out.items() if c}
 
 
+def _from_row(ring: WeightedRing, row: Dict[Exponent, int], den: int) -> Polynomial:
+    """The polynomial row/den: one Fraction per nonzero term."""
+    return Polynomial._of(ring, {e: Fraction(n, den) for e, n in row.items() if n})
+
+
 def weighted_exponents(weights: Sequence[int], degree: int) -> List[Exponent]:
     """All exponent vectors of the given weighted degree, in lexicographic order."""
     partial = [((), degree)]
@@ -432,21 +433,13 @@ def rename_into(p: Polynomial, ring: WeightedRing) -> Polynomial:
 # -- JSON form --------------------------------------------------------------
 
 
-def fraction_to_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def to_json(p: Polynomial) -> dict:
     """Canonical JSON form: terms in descending canonical order."""
     return {
         "vars": list(p.ring.names),
         "weights": list(p.ring.weights),
         "terms": [
-            {"c": fraction_to_str(c), "e": list(e)} for e, c in p.sorted_terms()
+            {"c": str(c), "e": list(e)} for e, c in p.sorted_terms()
         ],
     }
 
@@ -466,10 +459,12 @@ def from_json(doc: dict, ring: WeightedRing | None = None) -> Polynomial:
         try:
             if type(t["c"]) not in (str, int):
                 raise TypeError
-            e, c = json_list(t["e"], "an exponent vector", int), fraction_from_str(t["c"])
+            e, c = json_list(t["e"], "an exponent vector", int), Fraction(t["c"])
         except (TypeError, ValueError, ZeroDivisionError):
             raise PolynomialError(f"malformed JSON term {t!r}") from None
         if e in terms:
             raise PolynomialError("duplicate exponent vector in JSON terms")
         terms[e] = c
-    return Polynomial(ring, terms)
+    if any(c and (len(e) != ring.nvars or min(e, default=0) < 0) for e, c in terms.items()):
+        raise PolynomialError("exponent vector does not match ring")
+    return Polynomial._of(ring, {e: c for e, c in terms.items() if c})

@@ -36,7 +36,7 @@ from math import comb, lcm
 from operator import mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import Budget, StratabenchError, linalg, rational, step_budget
+from . import Budget, StratabenchError, integer_terms, linalg, rational, step_budget
 from .poly import Polynomial, WeightedRing, collect, to_json, weighted_exponents
 
 GEOM_VARS = ("z1", "x1", "y1", "z2", "x2", "y2")
@@ -134,11 +134,9 @@ class _Packing:
         """(row, den) with row/den the image of p under z_i -> lam*z_i."""
         if p.ring != self.ring:
             raise S2EError("polynomial from a different context")
-        den = lcm(*(c.denominator for c in p.terms.values()))
+        row, den = integer_terms(p.terms)
         lam, units = self.lam, self.units
-        return {sum(map(mul, e, units)):
-                c.numerator * (den // c.denominator) * lam ** (e[0] + e[3])
-                for e, c in p.terms.items()}, den
+        return {sum(map(mul, e, units)): c * lam ** (e[0] + e[3]) for e, c in row.items()}, den
 
     def unpack(self, row: Mapping[int, int], den: int = 1) -> Polynomial:
         """The polynomial whose image under z_i -> lam*z_i is row/den."""
@@ -474,8 +472,8 @@ def invariant_basis(ctx: Context, m: int) -> List[Polynomial]:
 
 def _invariant_exponents(ctx: Context, m: int) -> List[Tuple[tuple, ...]]:
     """The exponent vectors of each invariant_basis element, in order."""
-    if not 1 <= m <= 8:
-        raise S2EError("m out of range (1..8)")
+    if m < 1:
+        raise S2EError("m must be at least 1")
     mons = factor_basis(m)
     pad = (0,) * (ctx.ring.nvars - 6)
     return [(u + v + pad,) if u == v else (u + v + pad, v + u + pad)
@@ -514,8 +512,6 @@ def antidiagonal_kernel(ctx: Context, m: int) -> List[Polynomial]:
     coordinates the substitution is (z2,x2,y2) -> (z1,x1,-y1) followed
     by reduction modulo the single remaining relation.
     """
-    if not 1 <= m <= 6:
-        raise S2EError("m out of range (1..6)")
     exps = _invariant_exponents(ctx, m)
     P = ctx._packing(2 * m)
     M = _coordinates([_restrict_antidiagonal(P, r) for r in _invariant_rows(P, exps)])
@@ -712,8 +708,6 @@ def _try_assignment(P: _Packing, system: _SystemRows, Z1: Elem,
 def generation_check(ctx: Context, upto: int,
                      generators: Optional[Sequence[Polynomial]] = None) -> bool:
     """Do monomials in t0..t6 span every graded piece up to degree `upto`?"""
-    if upto > 6:
-        raise S2EError("upto must be at most 6")
     gens = list(generators) if generators is not None else list(ctx.t_generators())
     # a product of generators has at most `upto` factors
     P = ctx._packing(upto * max((g.max_weighted_degree() for g in gens), default=0))

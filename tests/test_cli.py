@@ -387,6 +387,36 @@ def test_every_flag_value_ends_in_an_exit_code(monkeypatch, tmp_path, argv):
     assert "Traceback" not in err.getvalue() and len(err.getvalue().splitlines()) <= 1
 
 
+# every flag that reads rationals, through `cli._fraction`
+RATIONAL_FLAGS = [(prefix, flag) for prefix, flag in NUMERIC_FLAGS if prefix[0] != "hilbert"]
+
+
+@pytest.mark.parametrize("prefix, flag", RATIONAL_FLAGS)
+def test_rational_flags_take_at_most_100_digits(capsys, prefix, flag):
+    # the step budget does not count coefficient size, so the digits are
+    # bounded; an exponent of five digits is refused before 10**n is built
+    for value in ("9" * 101, "1/" + "7" * 101, "1e100", "-1e-100", "1e99999999"):
+        arg = f"{flag}=1:0:{value}" if flag in ("--fiber", "--classify") else f"{flag}={value}"
+        assert dispatch(prefix + [arg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: a rational flag has at most 100 digits in its ")
+        assert err.count("\n") == 1
+
+
+def test_a_five_digit_exponent_is_refused_unparsed(monkeypatch, capsys):
+    # Fraction("1e<n>") builds 10**n before any digit count could refuse it
+    import stratabench.cli as cli
+    monkeypatch.setattr(cli, "Fraction", None)  # a call would raise TypeError
+    assert dispatch(["implicitize", "--a=1e99999999", "--b=3"]) == 2
+    assert "at most 100 digits" in capsys.readouterr().err
+
+
+def test_a_100_digit_rational_flag_still_runs(capsys):
+    assert dispatch(["implicitize", "--a=" + "9" * 100 + "/7", "--b=5/" + "7" * 100]) == 0
+    assert dispatch(["implicitize", "--a=1e99", "--b=-1e-99"]) == 0
+    capsys.readouterr()
+
+
 def test_well_formed_invalid_model_is_a_verification_error(tmp_path, capsys):
     from stratabench import bidouble
     doc = bidouble.known_examples("Z1").to_json()

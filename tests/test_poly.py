@@ -1,10 +1,11 @@
 import json
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stratabench import poly, s2e
+from stratabench import integer_terms, poly, s2e
 from stratabench.poly import Polynomial, PolynomialError, WeightedRing
 
 R5 = WeightedRing(("x", "y1", "y2", "z1", "z2"), (1, 2, 2, 3, 3))
@@ -172,6 +173,34 @@ def test_edge_cases():
             poly.from_json(doc)
 
 
+def test_from_json_reads_as_the_constructor_does():
+    # from_json parses and checks each term once itself; the validating
+    # constructor is the reference, zero terms dropped before their exponents
+    for terms in ([{"c": "0", "e": [1]}, {"c": "2/4", "e": [1, 0]}, {"c": 3, "e": [0, 2]}],
+                  [{"c": "-1", "e": [0, 0]}, {"c": "0", "e": [2, 2]}],
+                  [{"c": "1", "e": [1]}], [{"c": "1", "e": [0, -1]}], []):
+        doc = dict(poly.to_json(R2.var("u")), terms=terms)
+        try:
+            expected = Polynomial(R2, {tuple(t["e"]): Fraction(t["c"]) for t in terms})
+        except PolynomialError as exc:
+            with pytest.raises(PolynomialError, match=f"^{exc}$"):
+                poly.from_json(doc)
+            continue
+        got = poly.from_json(doc)
+        assert list(got.terms.items()) == list(expected.terms.items())
+        _assert_clean(got, R2)
+
+
+def test_integer_terms():
+    assert integer_terms({}) == ({}, 1)
+    assert integer_terms({"a": 3, "b": -4}) == ({"a": 3, "b": -4}, 1)
+    terms = {(1,): Fraction(-1, 6), (0,): Fraction(3, 4), (2,): 0, (3,): 2, (4,): Fraction(-5)}
+    row, den = integer_terms(terms)
+    # keys keep their order and zeros stay, as a dense list needs
+    assert list(row.items()) == [((1,), -2), ((0,), 9), ((2,), 0), ((3,), 24), ((4,), -60)]
+    assert den == 12 and all(type(v) is int for v in row.values())
+
+
 def test_immutability():
     u = R2.var("u")
     with pytest.raises(AttributeError):
@@ -230,6 +259,23 @@ def _naive_substitute(p, images):
     return out
 
 
+def _fraction_product(p, q):
+    """Reference product: every pair of terms multiplied as Fractions, summed."""
+    return poly.collect(p.ring, ((tuple(map(add, e1, e2)), c1 * c2)
+                                 for e1, c1 in p.terms.items() for e2, c2 in q.terms.items()))
+
+
+def _fraction_power(p, n):
+    """Reference power: binary exponentiation by the Fraction product."""
+    result, base = p.ring.one(), p
+    while n:
+        if n & 1:
+            result = _fraction_product(result, base)
+        base = _fraction_product(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
 def _rational_poly(ring, max_exp, max_terms):
     exp = st.tuples(*[st.integers(0, max_exp) for _ in ring.names])
     return st.dictionaries(exp, rational, max_size=max_terms).map(
@@ -255,3 +301,20 @@ def test_substitute_matches_the_naive_expansion(p, images, s, t):
     values = {n: img.evaluate(point) if isinstance(img, Polynomial) else Fraction(img)
               for n, img in images.items()}
     assert result.evaluate(point) == p.evaluate(values)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_rational_poly(R3, 3, 5), _rational_poly(R3, 3, 5),
+       st.one_of(rational, st.integers(-3, 3)), st.integers(0, 4))
+@example(R3.zero(), R3.const(Fraction(2, 3)), 0, 0)
+@example(R3.var("v").scale(Fraction(1, 3)) + Fraction(1, 5),
+         R3.var("u").scale(Fraction(-2, 5)) + Fraction(1, 3), Fraction(5, 7), 3)
+def test_mul_matches_the_fraction_product(p, q, c, n):
+    # distinct denominators, int and Fraction scalars, zero and constants
+    C = R3.const(c)
+    for got, ref in ((p * q, _fraction_product(p, q)), (p * c, _fraction_product(p, C)),
+                     (c * p, _fraction_product(C, p)), (C * q, _fraction_product(C, q)),
+                     (p ** n, _fraction_power(p, n)), (C ** n, _fraction_power(C, n))):
+        # the same terms in the same order, so reports stay byte-identical
+        assert list(got.terms.items()) == list(ref.terms.items())
+        _assert_clean(got, R3)

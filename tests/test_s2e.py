@@ -594,6 +594,20 @@ def test_conductor_m5_pipeline_rref_work_is_pinned(monkeypatch):
         conductor_vanishing_basis(Context(P_PIN, G11), 5)
 
 
+def test_degrees_past_the_former_ceilings(monkeypatch):
+    # antidiagonal_kernel stopped at m = 6 and generation_check at upto = 6;
+    # both size their packing from the degree, and the budget bounds the work
+    from stratabench import BudgetExceeded
+    ctx = Context(P_PIN, G11)
+    assert len(antidiagonal_kernel(ctx, 8)) == 27  # (m + 1)(m - 2)/2 on this tuple
+    assert generation_check(ctx, 8)
+    with pytest.raises(S2EError, match="m must be at least 1"):
+        antidiagonal_kernel(ctx, 0)
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded, match="^linalg.rref: 1001 steps exceed the step budget of 1000;"):
+        generation_check(Context(P_PIN, G11), 12)
+
+
 def test_pipeline_normal_form_calls_are_bounded(monkeypatch):
     # generation_check builds each monomial product in t0..t6 once, from a
     # stored product of lower degree: 64 normal forms for upto = 6, not 179.
