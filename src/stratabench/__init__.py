@@ -14,18 +14,26 @@ STRATABENCH_STEP_BUDGET, and `Budget.spend` alone raises BudgetExceeded,
 naming the stage and its steps.  It lives here so that every budgeted
 module can use it without depending on the Groebner engine.  So do the
 JSON type checks that the document loaders share, the exact rational
-check of the parameter constructors, and `integer_terms`, the one way
-rationals become the integer rows that the exact kernels work on.
+check of the parameter constructors, `bounded_rational`, the one digit
+bound on rationals read from flags and documents, and `integer_terms`,
+the one way rationals become the integer rows that the exact kernels
+work on.
 """
 
 import os
+import re
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple, Union
 
 __version__ = "0.1.0"
 
 DEFAULT_STEP_BUDGET = 2_000_000
+
+# digits of a numerator or a denominator read from text or an integer
+MAX_DIGITS = 100
+_BOUND = 10 ** MAX_DIGITS
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 
 class StratabenchError(Exception):
@@ -77,10 +85,35 @@ def json_int(value, what: str) -> int:
 
 def rational(value, what: str, error: type) -> Fraction:
     """`value` as a Fraction; `error` for a float, which holds a binary
-    fraction rather than the decimal it was written as, or a boolean."""
+    fraction rather than the decimal it was written as, a boolean, or a
+    string or an int over the bound of `bounded_rational`."""
     if isinstance(value, (float, bool)):
         raise error(f"{what} must be an exact rational, got {value!r:.40}")
-    return Fraction(value)
+    if not isinstance(value, (str, int)):
+        return Fraction(value)
+    q = bounded_rational(value)
+    if q is None:
+        raise error(f"{what} has at most {MAX_DIGITS} digits in its numerator and its "
+                    f"denominator, got {value!r:.60}")
+    return q
+
+
+def bounded_rational(value: Union[str, int]) -> Optional[Fraction]:
+    """`value`, a string or an int, as a Fraction; None when its numerator
+    or its denominator has more than MAX_DIGITS digits.
+
+    The step budget does not count coefficient size, so this bound keeps
+    the time of what is read from outside in check.  Fraction("1e<n>")
+    builds 10**n first, so a five-digit exponent is refused unparsed: it
+    puts any nonzero value over the bound, since at most 4300 digits are
+    read each side of the point.  ValueError or ZeroDivisionError for a
+    string that is not a rational."""
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and len(exponent[1].replace("_", "").lstrip("+-0")) > 4:
+            return None
+    q = Fraction(value)
+    return q if -_BOUND < q.numerator < _BOUND and q.denominator < _BOUND else None
 
 
 def integer_terms(terms: Mapping) -> Tuple[dict, int]:

@@ -19,13 +19,9 @@ import sys
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Tuple, TypeVar
 
-from . import BudgetExceeded, BudgetSettingError, StratabenchError
+from . import MAX_DIGITS, BudgetExceeded, BudgetSettingError, StratabenchError, bounded_rational
 
 T = TypeVar("T")
-
-# The most digits of a numerator or a denominator in a rational flag;
-# the step budget does not count coefficient size.
-MAX_DIGITS = 100
 
 
 class UsageError(Exception):
@@ -33,18 +29,14 @@ class UsageError(Exception):
 
 
 def _fraction(text: str) -> Fraction:
-    # Fraction("1e<n>") builds 10**n first; a five-digit n gives any nonzero value
-    # over MAX_DIGITS digits (at most 4300 are read each side of the point)
-    exponent = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
-    if not (exponent and len(exponent[1].replace("_", "").lstrip("+-0")) > 4):
-        try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"not a rational number: {text!r} ({exc})") from None
-        if max(abs(value.numerator), value.denominator) < 10 ** MAX_DIGITS:
-            return value
-    raise UsageError(f"a rational flag has at most {MAX_DIGITS} digits in its numerator "
-                     f"and its denominator, got {text!r:.60}")
+    try:
+        value = bounded_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"not a rational number: {text!r} ({exc})") from None
+    if value is None:
+        raise UsageError(f"a rational flag has at most {MAX_DIGITS} digits in its numerator "
+                         f"and its denominator, got {text!r:.60}")
+    return value
 
 
 def _point(text: str, flag: str) -> Tuple[Fraction, ...]:
@@ -80,6 +72,10 @@ def _load(path: str, from_json: Callable[[dict], T]) -> T:
             f"column {exc.colno}") from None
     except RecursionError:
         raise UsageError(f"malformed JSON in {path}: nested too deeply") from None
+    except ValueError:
+        # int() refuses the literal: it has more than 4300 digits
+        raise UsageError(f"malformed document in {path}: a JSON integer has more than "
+                         f"{MAX_DIGITS} digits") from None
     try:
         return from_json(doc)
     except (KeyError, TypeError, AttributeError, StratabenchError) as exc:

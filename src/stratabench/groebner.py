@@ -31,14 +31,30 @@ intermediate polynomial has the same terms as before and only its scale
 differs.  A term therefore meets the same divisor, and pair selection,
 the criteria and the step count are those of the rational algorithm.
 
+`eliminate` runs on a block order, the dropped variables in front: a
+monomial containing one of them exceeds every monomial without them.
+When every generator is weighted-homogeneous it takes the graded block
+order instead, which compares the total weighted degree first and the
+block key after.  That order does not eliminate in general, but on
+homogeneous input every S-polynomial and remainder is homogeneous, so
+only monomials of one degree are ever compared, and there the two
+orders agree: the reduced basis is the same, and its elements in the
+kept variables are the reduced basis of the elimination ideal.  Being
+degree-compatible, the graded order lets Buchberger go degree by degree
+and never past the degree the basis needs (Cox, Little, O'Shea, "Ideals,
+Varieties, and Algorithms", ch. 3 sec. 1 and ch. 8 sec. 4): the graph
+ideal of `implicitize` at (2, 3) takes 179 steps on it, 1008 on the
+block order.
+
 The bookkeeping is kept cheap without changing the algorithm.  Inside
 a computation each monomial is one int (`_Packing`), packed at entry
 and unpacked at exit:
 
-- the int holds fields of a fixed width: per block of the order the
-  block's weighted degree d, then d minus the running sum of the
-  exponents from the block's last variable back, and below them the
-  exponents themselves.  Every field is a linear form with non-negative
+- the int holds fields of a fixed width: for the graded block order the
+  total weighted degree on top, per block of the order the block's
+  weighted degree d, then d minus the running sum of the exponents from
+  the block's last variable back, and below them the exponents
+  themselves.  Every field is a linear form with non-negative
   coefficients, because weights are at least 1, so the int of a product
   is the sum of the ints, a shift x^(m-lm) is m - lm, and comparing ints
   compares order keys (`MonomialOrder.key` is the specification);
@@ -90,20 +106,23 @@ from .poly import (Exponent, Polynomial, PolynomialError, WeightedRing, collect,
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Weight-graded revlex, or a block elimination order.
+    """Weight-graded revlex, a block elimination order, or its graded form.
 
     For a block order the first `split` ring variables form the
     eliminated block: any monomial containing one of them is larger
-    than every monomial in the remaining variables alone.
+    than every monomial in the remaining variables alone.  The graded
+    block order compares the total weighted degree first and then the
+    block key; it eliminates only on weighted-homogeneous ideals.
     """
 
     kind: str = "weighted-graded-revlex"
     split: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("weighted-graded-revlex", "block-elimination"):
+        if self.kind not in ("weighted-graded-revlex", "block-elimination",
+                             "graded-block-elimination"):
             raise PolynomialError(f"unknown order kind {self.kind!r}")
-        if self.kind == "block-elimination" and self.split < 1:
+        if self.kind != "weighted-graded-revlex" and self.split < 1:
             raise PolynomialError("block order needs a positive split")
 
     def key(self, exp: Exponent, weights: Sequence[int]):
@@ -114,7 +133,8 @@ class MonomialOrder:
         e1, e2 = exp[:s], exp[s:]
         d1 = sum(e * w for e, w in zip(e1, weights[:s]))
         d2 = sum(e * w for e, w in zip(e2, weights[s:]))
-        return (d1,) + revlex_key(e1) + (d2,) + revlex_key(e2)
+        block = (d1,) + revlex_key(e1) + (d2,) + revlex_key(e2)
+        return (d1 + d2,) + block if self.kind == "graded-block-elimination" else block
 
 
 GREVLEX = MonomialOrder()
@@ -129,6 +149,7 @@ class _Packing:
 
     Fields of `width` bits, the most significant first:
 
+    - for the graded block order, the total weighted degree;
     - per block of the order (all variables for weighted revlex; the
       eliminated, then the kept ones for a block order), the block's
       weighted degree d, then d - e_last, d - e_last - e_(last-1), ...
@@ -148,12 +169,15 @@ class _Packing:
 
     def __init__(self, order: MonomialOrder, weights: Sequence[int], width: int):
         n = len(weights)
-        s = min(order.split, n) if order.kind == "block-elimination" else n
-        # the n order fields, then e_(n-1), ..., e_0 at the bottom
+        graded = order.kind == "graded-block-elimination"
+        s = n if order.kind == "weighted-graded-revlex" else min(order.split, n)
+        # the total degree on top of a graded order, the n order fields,
+        # then e_(n-1), ..., e_0 at the bottom
+        top = 1 << width * 2 * n if graded else 0
         unit = [1 << width * (2 * n - 1 - k) for k in range(n)]
         coeffs = []
         for lo, hi in ((0, s), (s, n)):
-            block = sum(unit[lo:hi])
+            block = sum(unit[lo:hi]) + top
             for i in range(lo, hi):
                 # w_i in every field of the block but those from d - e_last
                 # down to d - e_last - ... - e_i, where it is w_i - 1
@@ -161,7 +185,7 @@ class _Packing:
         self.order, self.weights, self.width = order, tuple(weights), width
         self.coeffs = tuple(coeffs)
         self.mask = (1 << width) - 1
-        self.guard = ((1 << 2 * n * width) - 1) // self.mask << width - 1
+        self.guard = ((1 << (2 * n + graded) * width) - 1) // self.mask << width - 1
 
     @classmethod
     def fitting(cls, order: MonomialOrder, ring: WeightedRing,
@@ -504,7 +528,10 @@ def eliminate(gens: Sequence[Polynomial], drop_vars) -> List[Polynomial]:
     """Generators of (gens) intersected with the subring without drop_vars.
 
     Computed via a block elimination order with the dropped variables in
-    front; the result lives in the kept-variable subring.
+    front, graded by total weighted degree when every generator is
+    weighted-homogeneous; the result lives in the kept-variable subring.
+    Either way it is the reduced basis of the elimination ideal under
+    weighted grevlex.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -519,7 +546,9 @@ def eliminate(gens: Sequence[Polynomial], drop_vars) -> List[Polynomial]:
         raise PolynomialError("cannot drop every variable")
     ordered = [n for n in ring.names if n in drop] + keep
     work_ring = _restrict_ring(ring, ordered)
-    order = MonomialOrder("block-elimination", split=len(drop))
+    graded = all(g.is_homogeneous() for g in gens)
+    order = MonomialOrder("graded-block-elimination" if graded else "block-elimination",
+                          split=len(drop))
     gb = buchberger([rename_into(g, work_ring) for g in gens], order)
     keep_ring = _restrict_ring(ring, keep)
     out = []

@@ -21,7 +21,9 @@ from .groebner import eliminate
 from .poly import Polynomial, WeightedRing, rename_into, scalar_ratio
 
 UV = WeightedRing(("u", "v"), (1, 1))
-GRAPH_RING = WeightedRing(("u", "v", "x", "y", "z"), (1, 1, 1, 1, 1))
+# x, y and z have the weight of the binary quartics they equal, so the
+# graph ideal is weighted-homogeneous and `eliminate` runs degree by degree
+GRAPH_RING = WeightedRing(("u", "v", "x", "y", "z"), (1, 1, 4, 4, 4))
 
 
 class ImplicitizeError(ValueError):
@@ -87,19 +89,14 @@ class PlaneQuartic:
 def closed_form_quartic(a, b) -> PlaneQuartic:
     """The closed-form six-coefficient quartic f_{a,b}."""
     a, b = rational(a, "a", ImplicitizeError), rational(b, "b", ImplicitizeError)
-    x, y, z = PLANE.var("x"), PLANE.var("y"), PLANE.var("z")
-    c = {
-        "x2y2": -a * b ** 3 + b ** 4 + a * a * b - a * b * b,
-        "x2yz": a * a * b ** 3 - a ** 3 * b - a * b ** 3 - a ** 3 + 3 * a * a * b - a * b * b,
-        "xy2z": a * b * b - 2 * b ** 3 - a * a + a * b + b * b,
-        "x2z2": a ** 4 - a ** 3 * b - a ** 3 + a * a * b,
-        "xyz2": 2 * a * a * b - a * b * b - a * a - a * b + b * b,
-        "y2z2": b * b - b,
-    }
-    q = (x * x * y * y * c["x2y2"] + x * x * y * z * c["x2yz"]
-         + x * y * y * z * c["xy2z"] + x * x * z * z * c["x2z2"]
-         + x * y * z * z * c["xyz2"] + y * y * z * z * c["y2z2"])
-    return PlaneQuartic(q)
+    return PlaneQuartic(Polynomial(PLANE, {
+        (2, 2, 0): -a * b ** 3 + b ** 4 + a * a * b - a * b * b,
+        (2, 1, 1): a * a * b ** 3 - a ** 3 * b - a * b ** 3 - a ** 3 + 3 * a * a * b - a * b * b,
+        (1, 2, 1): a * b * b - 2 * b ** 3 - a * a + a * b + b * b,
+        (2, 0, 2): a ** 4 - a ** 3 * b - a ** 3 + a * a * b,
+        (1, 1, 2): 2 * a * a * b - a * b * b - a * a - a * b + b * b,
+        (0, 2, 2): b * b - b,
+    }))
 
 
 def implicitize(inp: ParametrizationInput) -> Tuple[PlaneQuartic, dict]:
@@ -117,7 +114,7 @@ def implicitize(inp: ParametrizationInput) -> Tuple[PlaneQuartic, dict]:
     if len(basis) != 1:
         raise ImplicitizeError(
             f"unexpected image degree: elimination ideal has {len(basis)} generators")
-    g = basis[0]
+    g = rename_into(basis[0], PLANE)
     if g.weighted_degree() != 4:
         raise ImplicitizeError("unexpected image degree: generator is not a quartic")
 

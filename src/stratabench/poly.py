@@ -21,7 +21,7 @@ from math import prod
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import StratabenchError, integer_terms, json_list
+from . import MAX_DIGITS, StratabenchError, bounded_rational, integer_terms, json_list
 
 Exponent = Tuple[int, ...]
 
@@ -447,7 +447,8 @@ def to_json(p: Polynomial) -> dict:
 def from_json(doc: dict, ring: WeightedRing | None = None) -> Polynomial:
     """Raises TypeError for a ring of the wrong JSON type and
     PolynomialError for a term that does not parse; a coefficient is a
-    string or an integer, never a float, which would read inexactly."""
+    string or an integer, never a float, which would read inexactly, and
+    has at most MAX_DIGITS digits in its numerator and its denominator."""
     doc_ring = WeightedRing(json_list(doc["vars"], "vars", str),
                             json_list(doc["weights"], "weights", int))
     if ring is None:
@@ -459,9 +460,12 @@ def from_json(doc: dict, ring: WeightedRing | None = None) -> Polynomial:
         try:
             if type(t["c"]) not in (str, int):
                 raise TypeError
-            e, c = json_list(t["e"], "an exponent vector", int), Fraction(t["c"])
+            e, c = json_list(t["e"], "an exponent vector", int), bounded_rational(t["c"])
         except (TypeError, ValueError, ZeroDivisionError):
             raise PolynomialError(f"malformed JSON term {t!r}") from None
+        if c is None:
+            raise PolynomialError(f"a JSON coefficient has at most {MAX_DIGITS} digits in its "
+                                  f"numerator and its denominator, got {t['c']!r:.60}")
         if e in terms:
             raise PolynomialError("duplicate exponent vector in JSON terms")
         terms[e] = c

@@ -286,6 +286,18 @@ def test_del_pezzo_numbers_refuse_floats_and_bools(value):
     assert DelPezzoModel("1/10", zero, zero, zero).a0 == Fraction(1, 10)
 
 
+def test_del_pezzo_a0_takes_at_most_100_digits():
+    # a0 is read from documents through the digit bound of the rational
+    # flags; Fraction("1e100000") alone would build 10**100000 first
+    zero = BINARY_RING.zero()
+    doc = DelPezzoModel(1, zero, zero, zero).to_json()
+    for value in ("1e100000", "9" * 101, "1/" + "7" * 101, 10 ** 100):
+        with pytest.raises(ModelError, match="^a0 has at most 100 digits in its numerator"):
+            DelPezzoModel.from_json({**doc, "a0": value})
+    assert DelPezzoModel.from_json({**doc, "a0": "9" * 100}).a0 == 10 ** 100 - 1
+    assert DelPezzoModel.from_json({**doc, "a0": "1e99"}).a0 == 10 ** 99
+
+
 def test_random_models_validate():
     rng = random.Random(23)
     for _ in range(5):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from unittest import mock
 
 import pytest
@@ -405,8 +406,10 @@ def test_rational_flags_take_at_most_100_digits(capsys, prefix, flag):
 
 def test_a_five_digit_exponent_is_refused_unparsed(monkeypatch, capsys):
     # Fraction("1e<n>") builds 10**n before any digit count could refuse it
+    import stratabench
     import stratabench.cli as cli
-    monkeypatch.setattr(cli, "Fraction", None)  # a call would raise TypeError
+    for module in (stratabench, cli):
+        monkeypatch.setattr(module, "Fraction", None)  # a call would raise TypeError
     assert dispatch(["implicitize", "--a=1e99999999", "--b=3"]) == 2
     assert "at most 100 digits" in capsys.readouterr().err
 
@@ -415,6 +418,37 @@ def test_a_100_digit_rational_flag_still_runs(capsys):
     assert dispatch(["implicitize", "--a=" + "9" * 100 + "/7", "--b=5/" + "7" * 100]) == 0
     assert dispatch(["implicitize", "--a=1e99", "--b=-1e-99"]) == 0
     capsys.readouterr()
+
+
+def test_document_coefficients_take_at_most_100_digits(tmp_path, capsys):
+    # a polynomial document's coefficients are bounded as the rational flags
+    # are: "1e100000" alone would build 10**100000 (46 s) before any count
+    from stratabench import bidouble, canring
+    for value in ("1e100000", "9" * 101, "1/" + "7" * 101, 10 ** 100):
+        for argv, doc, part in (
+                (["bidouble", "--data"], bidouble.known_examples("Z1").to_json(), "D0"),
+                (["canring", "--model"], canring.demo_model().to_json(), "b1")):
+            doc[part]["terms"][0]["c"] = value
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            start = time.perf_counter()
+            assert dispatch(argv + [str(path)]) == 2
+            assert time.perf_counter() - start < 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: malformed document in {path}: PolynomialError: "
+                                  "a JSON coefficient has at most 100 digits in its ")
+            assert err.count("\n") == 1
+    # past 4300 digits the JSON reader itself refuses the integer
+    doc = bidouble.known_examples("Z1").to_json()
+    doc["D0"]["terms"][0]["c"] = 0
+    path.write_text(json.dumps(doc).replace('"c": 0', '"c": 1' + "0" * 5000), encoding="utf-8")
+    assert dispatch(["bidouble", "--data", str(path)]) == 2
+    assert capsys.readouterr().err == (f"usage error: malformed document in {path}: "
+                                       "a JSON integer has more than 100 digits\n")
+    doc["D0"]["terms"][0]["c"] = "9" * 100
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert dispatch(["bidouble", "--data", str(path)]) in (0, 1)
+    assert capsys.readouterr().out.startswith("bidouble: ")
 
 
 def test_well_formed_invalid_model_is_a_verification_error(tmp_path, capsys):

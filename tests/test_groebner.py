@@ -2,14 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stratabench import BudgetExceeded, linalg
 from stratabench.groebner import (GREVLEX, MonomialOrder, _Packing,
                                   buchberger, eliminate, exact_divide,
                                   leading_monomial, normal_form, poly_gcd,
                                   projective_empty, resultant, spolynomial)
-from stratabench.poly import Polynomial, PolynomialError, WeightedRing
+from stratabench.poly import (Polynomial, PolynomialError, WeightedRing, rename_into,
+                              weighted_exponents)
 
 R3 = WeightedRing(("x", "y", "z"), (1, 1, 1))
 R1 = WeightedRing(("x",), (1,))
@@ -276,18 +277,60 @@ def test_reduced_basis_shape():
 
 
 def test_implicitize_elimination_step_count_is_pinned(monkeypatch):
-    # The (2, 3) graph ideal of implicitize takes exactly 1008 steps (S-pairs
-    # plus division steps); a change of pair selection or reduction shows here.
+    # The (2, 3) graph ideal of implicitize takes exactly 179 steps (S-pairs
+    # plus division steps) on the graded block order; a change of pair
+    # selection, reduction or order shows here.
     from stratabench.implicitize import GRAPH_RING, ParametrizationInput, build_parametrization
     from stratabench.poly import rename_into
 
     params = build_parametrization(ParametrizationInput(Fraction(2), Fraction(3)))
     gens = [GRAPH_RING.var(n) - rename_into(p, GRAPH_RING) for n, p in zip("xyz", params)]
-    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "1008")
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "179")
     assert len(eliminate(gens, {"u", "v"})) == 1
-    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "1007")
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "178")
     with pytest.raises(BudgetExceeded):
         eliminate(gens, {"u", "v"})
+
+
+@st.composite
+def _elimination_cases(draw):
+    """(gens, s): one to three generators in a ring of weights 1..4 whose
+    first s of at most five variables are eliminated.  Each generator is
+    weighted-homogeneous of degree 1..6, and now and then a constant is
+    one more, unless the case is drawn inhomogeneous: then the first
+    generator gains a term of lower degree."""
+    s = draw(st.integers(1, 3))
+    weights = tuple(draw(st.lists(st.integers(1, 4), min_size=s + 1, max_size=min(s + 2, 5))))
+    ring = WeightedRing(tuple(f"v{i}" for i in range(len(weights))), weights)
+    degrees = [d for d in range(1, 7) if weighted_exponents(weights, d)]
+    coeffs = st.integers(-3, 3).filter(bool).map(Fraction)
+
+    def form(degree):
+        exps = st.sampled_from(weighted_exponents(weights, degree))
+        return draw(st.dictionaries(exps, coeffs, min_size=1, max_size=3))
+
+    gens = [form(draw(st.sampled_from(degrees))) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.integers(0, 5)) == 5:
+        gens.append(form(0))
+    lower = [0] + [d for d in degrees if d < ring.wdeg(next(iter(gens[0])))]
+    if draw(st.booleans()):
+        gens[0].update(form(draw(st.sampled_from(lower))))
+    return [Polynomial(ring, terms) for terms in gens], s
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_elimination_cases())
+def test_eliminate_matches_the_block_order(case):
+    # eliminate runs weighted-homogeneous input on the graded block order;
+    # the reference is the block order itself, filtered to the kept ring
+    gens, s = case
+    ring = gens[0].ring
+    drop = ring.names[:s]
+    keep = WeightedRing(ring.names[s:], ring.weights[s:])
+    reference = buchberger(gens, MonomialOrder("block-elimination", s))
+    expected = [rename_into(g, keep) for g in reference
+                if not set(g.variables_used()) & set(drop)]
+    assert eliminate(gens, drop) == expected
 
 
 def test_grevlex_step_counts_are_pinned(monkeypatch):
@@ -315,16 +358,17 @@ def test_grevlex_step_counts_are_pinned(monkeypatch):
 def _packing_cases(draw):
     n = draw(st.integers(1, 5))
     weights = tuple(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
-    if draw(st.booleans()):
-        order = GREVLEX
-    else:
-        order = MonomialOrder("block-elimination", split=draw(st.integers(1, n + 1)))
+    kind = draw(st.sampled_from(("weighted-graded-revlex", "block-elimination",
+                                 "graded-block-elimination")))
+    order = MonomialOrder(kind, split=0 if kind == GREVLEX.kind else draw(st.integers(1, n + 1)))
     exps = st.tuples(*[st.integers(0, 12)] * n)
     return order, weights, draw(exps), draw(exps)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_packing_cases())
+# the block key puts u above v^2, the total degree below
+@example((MonomialOrder("graded-block-elimination", 1), (1, 1), (1, 0), (0, 2)))
 def test_packed_monomials_follow_the_order_keys(case):
     order, weights, a, b = case
     packing = _Packing(order, weights, 11)  # fields hold 1023 > 2 * 5 * 4 * 12
@@ -341,14 +385,16 @@ def test_packed_monomials_follow_the_order_keys(case):
 @given(_packing_cases())
 def test_packed_sums_overflow_into_a_guard_bit(case):
     # fields of 5 bits hold 0..15 below the guard; every field of a block
-    # is at most its weighted degree, which is one of the fields
+    # is at most its weighted degree, which is one of the fields, and so
+    # is the total degree of a graded block order
     order, weights, a, b = case
     packing = _Packing(order, weights, 5)
     n, split = len(weights), min(order.split, len(weights)) or len(weights)
 
     def degrees(e):
-        return [sum(x * w for x, w in zip(e[lo:hi], weights[lo:hi]))
-                for lo, hi in ((0, split), (split, n))]
+        blocks = [sum(x * w for x, w in zip(e[lo:hi], weights[lo:hi]))
+                  for lo, hi in ((0, split), (split, n))]
+        return blocks + [sum(blocks)] * (order.kind == "graded-block-elimination")
 
     if max(degrees(a) + degrees(b)) > 15:
         return

@@ -7,7 +7,7 @@ import pytest
 
 from stratabench.groebner import (GREVLEX, MonomialOrder, buchberger, eliminate,
                                   normal_form, poly_gcd, resultant)
-from stratabench.poly import Polynomial, WeightedRing, scalar_ratio
+from stratabench.poly import Polynomial, WeightedRing, scalar_ratio, weighted_exponents
 
 sp = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
@@ -107,13 +107,33 @@ def test_high_height_coefficients_match_sympy():
             assert normal_form(p, ours).terms == _terms(sp.Poly(remainder, *symbols, domain="QQ"))
 
 
-def test_eliminate_matches_sympy_lex_elimination_ideal():
+def _random_form(rng, ring, max_deg=4):
+    """Two to four terms of one weighted degree from 1 to max_deg."""
+    degree = rng.choice([d for d in range(1, max_deg + 1) if weighted_exponents(ring.weights, d)])
+    exps = weighted_exponents(ring.weights, degree)
+    return Polynomial(ring, {rng.choice(exps): _small(rng) for _ in range(rng.randint(2, 4))})
+
+
+def _elimination_cases():
+    """Twelve inhomogeneous pairs of weights (1, 1, 1), then twelve
+    weighted-homogeneous pairs of weights in 1..3, which `eliminate` runs on
+    the graded block order."""
     rng = random.Random(1988)
     ring = WeightedRing(NAMES, (1, 1, 1))
+    for _ in range(12):
+        yield [_random_poly(rng, ring, max_deg=2) for _ in range(2)]
+    rng = random.Random(2024)
+    for _ in range(12):
+        ring = WeightedRing(NAMES, tuple(rng.randint(1, 3) for _ in NAMES))
+        gens = [_random_form(rng, ring) for _ in range(2)]
+        assert all(g.is_homogeneous() for g in gens)
+        yield gens
+
+
+def test_eliminate_matches_sympy_lex_elimination_ideal():
     x, y, z = sp.symbols("x y z")
     keep_symbols = (y, z)
-    for _ in range(12):
-        gens = [_random_poly(rng, ring, max_deg=2) for _ in range(2)]
+    for gens in _elimination_cases():
         gens = [g for g in gens if not g.is_zero()]
         if not gens:
             continue
