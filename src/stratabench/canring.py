@@ -163,8 +163,8 @@ class CanRingValidation:
 def validate_canring(model: CanonicalRingModel) -> CanRingValidation:
     """Shape, coprimality and ambient-smooth-locus checks for a model.
 
-    (i)  the relations are weighted homogeneous of degree 6 (enforced
-         structurally by the model constructor, re-checked here);
+    (i)  the relations are weighted homogeneous of degree 6, which the
+         constructor enforces: a_i of degree 2, b_i of degree 6;
     (ii) gcd(b1, b2) = 1;
     (iii) the surface avoids the singular locus of the ambient space:
          on x = 0 the binary forms b1(0,y1,y2), b2(0,y1,y2) have no
@@ -177,8 +177,7 @@ def validate_canring(model: CanonicalRingModel) -> CanRingValidation:
     is a nonconstant binary form dividing both cubics b_i|x=0, which
     then share a root, so their resultant is 0.
     """
-    f1, f2 = model.relations()
-    shape_ok = f1.is_homogeneous(6) and f2.is_homogeneous(6)
+    shape_ok = True  # enforced by the constructor
 
     if model.b1.is_zero() or model.b2.is_zero():
         return CanRingValidation(shape_ok, False, False, "a b_i vanishes identically")

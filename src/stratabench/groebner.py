@@ -397,20 +397,30 @@ class GroebnerBasis:
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of (gens), deterministic for fixed input."""
+    ring, rows, packing = _basis_rows(gens, order)
+    return GroebnerBasis(tuple(_monic_of(row, packing, ring) for row in rows), order)
+
+
+def _basis_rows(gens: Sequence[Polynomial], order: MonomialOrder):
+    """(ring, rows, packing): the reduced basis of (gens) stays rows, and a
+    caller makes polynomials (`_monic_of`) only of the rows it returns."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise PolynomialError("no nonzero generators")
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise PolynomialError("mixed rings")
+    rows, packing = _widening(lambda p: (_buchberger_rows(gens, p), p),
+                              _Packing.fitting(order, ring, gens))
+    return ring, rows, packing
 
-    def run(packing: _Packing) -> GroebnerBasis:
-        unpack = packing.unpack
-        return GroebnerBasis(tuple(
-            collect(ring, ((unpack(m), Fraction(c, lc)) for m, c in [(lm, lc)] + tail))
-            for lm, lc, tail in _buchberger_rows(gens, packing)), order)
 
-    return _widening(run, _Packing.fitting(order, ring, gens))
+def _monic_of(row: Row, packing: _Packing, ring: WeightedRing, start: int = 0) -> Polynomial:
+    """The monic polynomial of a row in `ring`, whose variables are the
+    packing's from index `start` on."""
+    lm, lc, tail = row
+    return collect(ring, ((packing.unpack(m)[start:], Fraction(c, lc))
+                          for m, c in [(lm, lc)] + tail))
 
 
 def _buchberger_rows(gens: Sequence[Polynomial], packing: _Packing) -> List[Row]:
@@ -537,6 +547,8 @@ def eliminate(gens: Sequence[Polynomial], drop_vars) -> List[Polynomial]:
     if not gens:
         return []
     ring = gens[0].ring
+    if any(g.ring != ring for g in gens):
+        raise PolynomialError("mixed rings")
     drop = set(drop_vars)
     unknown = drop - set(ring.names)
     if unknown:
@@ -544,18 +556,17 @@ def eliminate(gens: Sequence[Polynomial], drop_vars) -> List[Polynomial]:
     keep = [n for n in ring.names if n not in drop]
     if not keep:
         raise PolynomialError("cannot drop every variable")
-    ordered = [n for n in ring.names if n in drop] + keep
-    work_ring = _restrict_ring(ring, ordered)
+    work_ring = _restrict_ring(ring, [n for n in ring.names if n in drop] + keep)
     graded = all(g.is_homogeneous() for g in gens)
     order = MonomialOrder("graded-block-elimination" if graded else "block-elimination",
                           split=len(drop))
-    gb = buchberger([rename_into(g, work_ring) for g in gens], order)
-    keep_ring = _restrict_ring(ring, keep)
-    out = []
-    for g in gb:
-        if all(n not in drop for n in g.variables_used()):
-            out.append(rename_into(g, keep_ring))
-    return out
+    _, rows, packing = _basis_rows([rename_into(g, work_ring) for g in gens], order)
+    # a row lies in the kept ring when its leading monomial does: on the block
+    # order a monomial with a dropped variable exceeds all without one, and so
+    # on the graded order, whose rows (homogeneous input) have one degree
+    s, keep_ring = len(drop), _restrict_ring(ring, keep)
+    return [_monic_of(row, packing, keep_ring, s) for row in rows
+            if not any(packing.unpack(row[0])[:s])]
 
 
 # -- gcd via ideal intersection ----------------------------------------------
@@ -566,6 +577,8 @@ def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         raise PolynomialError("division by zero polynomial")
     ring = f.ring
+    if g.ring != ring:
+        raise PolynomialError("mixed rings")
     # every monomial met has at most f's degree, so the fitting fields hold
     packing = _Packing.fitting(GREVLEX, ring, (f, g))
     pack = packing.pack
@@ -595,8 +608,8 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd, via lcm computed from the intersection (f) ∩ (g).
 
     The intersection uses the classical tag construction: eliminate T
-    from (T*f, (1-T)*g).  For principal ideals the reduced basis of the
-    intersection is the single monic lcm, and gcd = f*g / lcm.
+    from (T*f, (1-T)*g), into f's ring.  For principal ideals its reduced
+    basis is the single monic lcm, and gcd = f*g / lcm.
     """
     if f.is_zero() or g.is_zero():
         raise PolynomialError("gcd of zero polynomial undefined")
@@ -607,16 +620,12 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     while tag in ring.names:
         tag += "#"
     big = WeightedRing((tag,) + ring.names, (1,) + ring.weights)
-    fb = rename_into(f, big)
-    gb_ = rename_into(g, big)
     T = big.var(tag)
-    inter = eliminate([T * fb, (big.one() - T) * gb_], {tag})
-    inter = [q for q in inter if not q.is_zero()]
+    inter = eliminate([T * rename_into(f, big), (big.one() - T) * rename_into(g, big)], {tag})
     if len(inter) != 1:
         raise PolynomialError(
             f"intersection of principal ideals not principal ({len(inter)} generators)")
-    lcm = rename_into(inter[0], ring)
-    return monic(exact_divide(f * g, lcm))
+    return monic(exact_divide(f * g, inter[0]))
 
 
 # -- projective emptiness ----------------------------------------------------
@@ -639,13 +648,9 @@ def projective_empty(gens: Sequence[Polynomial]) -> bool:
     for g in gens:
         if g.weighted_degree() == "inhomogeneous":
             raise PolynomialError("projective test expects homogeneous generators")
-    gb = buchberger(gens, GREVLEX)
-    pack = _Packing.fitting(GREVLEX, ring, gb.generators).pack
-    lms = [max(g.terms, key=pack) for g in gb]
-    for i in range(ring.nvars):
-        if not any(all(e[j] == 0 for j in range(ring.nvars) if j != i) for e in lms):
-            return False
-    return True
+    _, rows, packing = _basis_rows(gens, GREVLEX)
+    lms = [packing.unpack(lm) for lm, _, _ in rows]
+    return all(any(not any(e[:i] + e[i + 1:]) for e in lms) for i in range(ring.nvars))
 
 
 # -- resultants --------------------------------------------------------------

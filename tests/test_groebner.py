@@ -155,6 +155,22 @@ def test_eliminate_all_variables_rejected():
         eliminate([R3.var("x")], {"x", "y", "z"})
 
 
+def test_eliminate_and_exact_divide_refuse_mixed_rings():
+    # eliminate once renamed every generator into the first one's ring by
+    # name (x^2 - u with x of weight 2 became x^2 - u of weight 1), and
+    # exact_divide packed g's exponents with f's ring
+    A, B = WeightedRing(("u", "x"), (1, 1)), WeightedRing(("u", "x"), (1, 2))
+    big = WeightedRing(("u", "x", "y"), (1, 1, 1))
+    for gens in ([A.var("x") - A.var("u") ** 2, B.var("x") ** 2 - B.var("u")],
+                 [big.var("y") - big.var("u"), A.var("x") - A.var("u") ** 2],
+                 [A.var("x") - A.var("u") ** 2, big.var("y") - big.var("u")]):
+        with pytest.raises(PolynomialError, match="mixed rings"):
+            eliminate(gens, {"u"})
+    xy, yx = WeightedRing(("x", "y"), (1, 1)), WeightedRing(("y", "x"), (1, 1))
+    with pytest.raises(PolynomialError, match="mixed rings"):
+        exact_divide(xy.var("x") * xy.var("y") + xy.var("y") ** 2, yx.var("x"))
+
+
 def test_gcd_examples():
     x, y = R3.var("x"), R3.var("y")
     g = poly_gcd((x - y) * (x + y), (x + y) ** 2)
@@ -352,6 +368,30 @@ def test_grevlex_step_counts_are_pinned(monkeypatch):
         monkeypatch.setenv("STRATABENCH_STEP_BUDGET", str(steps - 1))
         with pytest.raises(BudgetExceeded):
             run()
+
+
+def test_the_engine_builds_only_the_polynomials_it_returns(monkeypatch):
+    # the reduced basis stays integer rows: eliminate converts the one
+    # element of the (2, 3) graph ideal's basis in the kept variables (of
+    # 17), and projective_empty on the divisors of Z4 converts none (of 5)
+    from stratabench import groebner
+    from stratabench.bidouble import known_examples
+    from stratabench.implicitize import GRAPH_RING, ParametrizationInput, build_parametrization
+
+    built = []
+
+    def counting_collect(ring, pairs):
+        built.append(ring)
+        return collect(ring, pairs)
+
+    collect = groebner.collect
+    monkeypatch.setattr(groebner, "collect", counting_collect)
+    params = build_parametrization(ParametrizationInput(Fraction(2), Fraction(3)))
+    gens = [GRAPH_RING.var(n) - rename_into(p, GRAPH_RING) for n, p in zip("xyz", params)]
+    assert len(eliminate(gens, {"u", "v"})) == len(built) == 1
+    built.clear()
+    assert projective_empty(list(known_examples("Z4").divisors())) is True
+    assert built == []
 
 
 @st.composite

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from stratabench.groebner import (GREVLEX, MonomialOrder, buchberger, eliminate,
-                                  normal_form, poly_gcd, resultant)
+                                  normal_form, poly_gcd, projective_empty, resultant)
 from stratabench.poly import Polynomial, WeightedRing, scalar_ratio, weighted_exponents
 
 sp = pytest.importorskip("sympy")
@@ -157,6 +157,35 @@ def test_eliminate_matches_sympy_lex_elimination_ideal():
 
 def _from_sympy(q, ring):
     return Polynomial(ring, _terms(q))
+
+
+def test_projective_empty_matches_sympy():
+    # a line and two cubics in P^2 with coefficients in -2..2; every third
+    # triple is forced through the point (1 : a : b), so both answers occur.
+    # A homogeneous ideal has no projective zero when its affine cone is the
+    # origin alone: sympy's zero-dimensional, or its unit ideal, which sympy
+    # does not call zero-dimensional
+    rng = random.Random(1981)
+    ring = WeightedRing(NAMES, (1, 1, 1))
+    symbols = sp.symbols("x y z")
+    answers = []
+    while len(answers) < 60:
+        point = {"x": 1, "y": rng.randint(-2, 2), "z": rng.randint(-2, 2)}
+        triple = []
+        for degree in (1, 3, 3):
+            f = Polynomial(ring, {e: rng.randint(-2, 2)
+                                  for e in weighted_exponents(ring.weights, degree)})
+            if len(answers) % 3 == 0:
+                f -= ring.var("x") ** degree * f.evaluate(point)
+            triple.append(f)
+        if any(f.is_zero() for f in triple):
+            continue
+        theirs = sp.groebner([_to_sympy(f, symbols) for f in triple], *symbols,
+                             order="grevlex", domain="QQ")
+        empty = list(theirs.exprs) == [1] or theirs.is_zero_dimensional
+        assert projective_empty(triple) is empty
+        answers.append(empty)
+    assert 0 < answers.count(True) < 60
 
 
 def test_resultant_matches_sympy():
