@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Tuple, TypeVar
 
 from . import MAX_DIGITS, BudgetExceeded, BudgetSettingError, StratabenchError, bounded_rational
 
@@ -325,6 +325,69 @@ def _selftest(sub: str) -> Iterator[Tuple[str, bool]]:
             yield name, ok(verdict, evidence)
 
 
+# -- report text ---------------------------------------------------------------
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _report_text(doc) -> str:
+    """`json.dumps(doc, indent=2, sort_keys=True)`, written in one pass.
+
+    With an indent, json encodes in pure Python and yields each
+    separator, key and value as a string of its own.  Here a dict item
+    or list element is one chunk with its separator, indentation and
+    key, and a list of ints or of strings is one chunk.  Dict items are
+    sorted on their own keys, as json sorts them, and a key that is no
+    string is then written as json writes it; a value or a key that
+    json refuses raises its TypeError.
+    """
+    chunks: List[str] = []
+    _write("", doc, "\n", chunks)
+    return "".join(chunks)
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: always a JSON string."""
+    if isinstance(key, str):
+        return _escape(key)
+    if key is None or isinstance(key, (int, float)):
+        return f'"{json.dumps(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(head: str, value, indent: str, chunks: List[str]) -> None:
+    """Append `head` followed by the text of `value`, whose line starts
+    with `indent`."""
+    if isinstance(value, str):
+        chunks.append(head + _escape(value))
+    elif type(value) is int:
+        chunks.append(head + int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner = indent + "  "
+        sep = head + "{" + inner
+        for key, item in sorted(value.items()):
+            _write(sep + _key(key) + ": ", item, inner, chunks)
+            sep = "," + inner
+        chunks.append(indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        if all(type(x) is int for x in value):
+            texts = map(int.__repr__, value)
+        elif all(type(x) is str for x in value):
+            texts = map(_escape, value)
+        else:
+            sep = head + "[" + inner
+            for item in value:
+                _write(sep, item, inner, chunks)
+                sep = "," + inner
+            chunks.append(indent + "]")
+            return
+        chunks.append(head + "[" + inner + ("," + inner).join(texts) + indent + "]")
+    else:
+        # None, a bool, a float, an empty dict or list, or what json refuses
+        chunks.append(head + json.dumps(value))
+
+
 # -- dispatch ------------------------------------------------------------------
 
 
@@ -452,7 +515,7 @@ def dispatch(argv) -> int:
         "verdict": verdict,
         "evidence": evidence,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _report_text(report)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

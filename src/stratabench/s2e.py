@@ -489,17 +489,21 @@ def _invariant_rows(P: _Packing, exps: Sequence[Tuple[tuple, ...]]) -> List[Row]
 # -- coordinates --------------------------------------------------------------
 
 
-def _coordinates(rows: Sequence[Mapping]):
-    """Coefficient matrix of rows (or Polynomial term maps) w.r.t. their
-    joint monomial support.
+def _transpose(rows: Sequence[Mapping]) -> List[dict]:
+    """The rows indexed by monomial: for each monomial of their joint
+    support, in sorted order (packed monomials sort as their exponent
+    tuples do), the map input index -> coefficient."""
+    by_monomial: Dict[object, dict] = {}
+    for j, row in enumerate(rows):
+        for mono, c in row.items():
+            by_monomial.setdefault(mono, {})[j] = c
+    return [by_monomial[mono] for mono in sorted(by_monomial)]
 
-    Matrix rows are indexed by the monomials in sorted order (packed
-    monomials sort as their exponent tuples do), columns by the inputs.
-    Absent monomials are the int 0, which `linalg` reads without
-    building a Fraction.
-    """
-    support = sorted(set().union(*rows)) if rows else []
-    return [[r.get(mono, 0) for r in rows] for mono in support]
+
+def _coordinates(rows: Sequence[Mapping]):
+    """`_transpose` as a dense matrix, absent entries 0, for the callers of
+    the dense `linalg` API: `_try_assignment`'s `solve` and some tests."""
+    return [[t.get(j, 0) for j in range(len(rows))] for t in _transpose(rows)]
 
 
 # -- the operations ------------------------------------------------------------
@@ -514,8 +518,8 @@ def antidiagonal_kernel(ctx: Context, m: int) -> List[Polynomial]:
     """
     exps = _invariant_exponents(ctx, m)
     P = ctx._packing(2 * m)
-    M = _coordinates([_restrict_antidiagonal(P, r) for r in _invariant_rows(P, exps)])
-    return [_combine(ctx, v, exps) for v in linalg.nullspace(M)]
+    rows = _transpose([_restrict_antidiagonal(P, r) for r in _invariant_rows(P, exps)])
+    return [_combine(ctx, v, exps) for v in linalg.kernel(rows, range(len(exps)))]
 
 
 def _combine(ctx: Context, coeffs: Sequence[Fraction],
@@ -555,9 +559,8 @@ def conductor_vanishing_basis(ctx: Context, m: int) -> List[Polynomial]:
     P, t4 = E.P, E.rows["t4"][0]
     minus_s4 = {mono: -c for mono, c in E.rows["s4"][0].items()}
     basis = _invariant_rows(P, exps)
-    M = _coordinates([P.reduce(p, t4) for p in basis]
-                     + [P.reduce(p, minus_s4) for p in basis])
-    seen_rows = [v[:len(basis)] for v in linalg.nullspace(M)]
+    rows = _transpose([P.reduce(p, t4) for p in basis] + [P.reduce(p, minus_s4) for p in basis])
+    seen_rows = [v[:len(basis)] for v in linalg.kernel(rows, range(2 * len(basis)))]
     if not all(map(any, seen_rows)):
         # a kernel vector with p = 0 means s4*h = 0 with h != 0; impossible in a domain
         raise S2EError("degenerate conductor system")
@@ -721,10 +724,9 @@ def generation_check(ctx: Context, upto: int,
         rows.append((row, 1))
     products = _Products(P, rows)
     for m in range(1, upto + 1):
-        M = _coordinates([products[tuple(k for k, e in enumerate(exps) for _ in range(e))][0]
-                          for exps in weighted_exponents(degs, m)])
         # rescaling rows and columns by nonzero scalars keeps the rank
-        if linalg.rank(M) != m * (m + 1) // 2:
+        if linalg.rank_rows([products[tuple(k for k, e in enumerate(exps) for _ in range(e))][0]
+                             for exps in weighted_exponents(degs, m)]) != m * (m + 1) // 2:
             return False
     return True
 

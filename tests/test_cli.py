@@ -7,12 +7,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from stratabench.cli import dispatch
+from stratabench.cli import _report_text, dispatch
 
 RUN = [sys.executable, "-m", "stratabench"]
 
@@ -773,3 +774,47 @@ def test_reader_closing_the_pipe_early_is_no_error(tmp_path):
     report = tmp_path / "report.json"
     assert closed_early(["--output", str(report), "catalog"], False) == (None, 0, "")
     assert json.loads(report.read_text(encoding="utf-8"))["verdict"] == "pass"
+
+
+# -- report text ---------------------------------------------------------------
+
+# ints of over 100 digits, strings with control characters and non-ASCII
+_LEAVES = (st.none() | st.booleans() | st.floats() | st.text() | st.integers()
+           | st.integers(10 ** 100, 10 ** 130) | st.integers(-(10 ** 130), -(10 ** 100)))
+
+
+def _containers(children):
+    items = st.lists(children, max_size=5)
+    return (items | items.map(tuple)
+            | st.dictionaries(st.text(), children, max_size=5)
+            | st.dictionaries(st.integers() | st.booleans(), children, max_size=5)
+            | st.dictionaries(st.none(), children, max_size=1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.recursive(_LEAVES, _containers, max_leaves=40))
+def test_report_text_is_json_dumps_indented_and_sorted(doc):
+    assert _report_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_report_text_edge_cases():
+    docs = [
+        {10: "ten", 9: "nine", 100: [], -3: {}, True: None},   # int keys sort as ints
+        {None: [[], {}, ()]}, {"": {"a": {"b": {}}}},
+        ["é \x00\x1f\"\\", "\ud800", {"ключ": "значение"}, [1, True, 2.5, None]],
+        [10 ** 120, -(10 ** 101), 0, -1],
+        (("nested", ("tuple",)),),
+        "top-level string", 7, None, [], {},
+    ]
+    for doc in docs:
+        assert _report_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [Fraction(1, 3), {"a": [1, Fraction(2, 3)]}, {(1, 2): 0},
+                                 {"a": 1, 2: "b"}, {None: 1, "a": 2}])
+def test_report_text_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as ours:
+        _report_text(doc)
+    assert str(ours.value) == str(theirs.value)

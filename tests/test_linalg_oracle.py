@@ -93,3 +93,65 @@ def test_rank_kernel_and_solve_match_their_definitions():
         assert (x is None) == (cols in aug_pivots)
         if x is not None:
             assert _times(M, x) == rhs
+
+
+def _sparse(M, keys):
+    """The rows of M as dicts {keys[j]: entry} of their nonzero entries."""
+    return [{keys[j]: x for j, x in enumerate(row) if x} for row in M]
+
+
+def _integer_matrix(rng, k):
+    """A seeded int matrix of low rank, with a zero row in every third
+    case and a row scaled by a common factor in every other."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+    rank = rng.randint(0, min(rows, cols))
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rank)]
+    M = [[sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(cols)]
+         for i in range(rows)]
+    if k % 3 == 0:
+        M[rng.randrange(rows)] = [0] * cols
+    if k % 2 == 0:
+        i = rng.randrange(rows)
+        M[i] = [rng.choice([6, -10, 2 ** 70]) * x for x in M[i]]
+    return M
+
+
+def test_sparse_entries_match_the_dense_api_and_sympy():
+    rng = random.Random(26)
+    for k in range(150):
+        M = _integer_matrix(rng, k)
+        cols = len(M[0])
+        # columns keyed by large packed ints, in increasing order
+        keys = sorted(rng.sample(range(2 ** 60, 2 ** 61), cols))
+        rows = _sparse(M, keys)
+        before = [dict(r) for r in rows]
+        assert linalg.kernel(rows, keys) == linalg.nullspace(M)
+        assert linalg.rank_rows(rows) == linalg.rank(M)
+        assert rows == before  # the inputs are copied, not reduced in place
+        # an explicit zero entry is no entry
+        padded = [{**r, keys[0]: r.get(keys[0], 0)} for r in rows]
+        assert linalg.kernel(padded, keys) == linalg.nullspace(M)
+        if sp is not None:
+            theirs = _sympy(M)
+            assert linalg.rank_rows(rows) == theirs.rank()
+            assert linalg.kernel(rows, keys) == [_fractions(v) for v in theirs.nullspace()]
+
+
+def test_sparse_entries_on_empty_input():
+    assert linalg.rank_rows([]) == 0 and linalg.rank_rows([{}, {}]) == 0
+    assert linalg.kernel([], []) == [] and linalg.kernel([{}], []) == []
+    # no rows: the kernel is the whole space, one unit vector per column
+    assert linalg.kernel([], ["a", "b"]) == [[1, 0], [0, 1]]
+    assert linalg.kernel([{}, {"b": 0}], ["a", "b"]) == [[1, 0], [0, 1]]
+    # the columns are read in the order given, not sorted
+    assert linalg.kernel([{"a": 2, "b": 4}], ["b", "a"]) == [[Fraction(-1, 2), 1]]
+    assert linalg.kernel([{"a": 2, "b": 4}], ["a", "b"]) == [[-2, 1]]
+
+
+def test_sparse_entries_refuse_non_integer_entries():
+    for entry in (Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            linalg.rank_rows([{0: entry}])
+        with pytest.raises(TypeError):
+            linalg.kernel([{0: 1, 1: entry}], [0, 1])

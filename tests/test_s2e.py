@@ -594,6 +594,18 @@ def test_conductor_m5_pipeline_rref_work_is_pinned(monkeypatch):
         conductor_vanishing_basis(Context(P_PIN, G11), 5)
 
 
+def test_generation_rank_work_is_pinned(monkeypatch):
+    # generation_check ranks the product rows themselves, their sorted packed
+    # monomials as columns; the costliest rank up to degree 6 takes 84 row
+    # updates, so a change of pivoting or elimination shows here
+    from stratabench import BudgetExceeded
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "84")
+    assert generation_check(Context(P_PIN, G11), 6)
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "83")
+    with pytest.raises(BudgetExceeded, match="^linalg.rref: 84 steps exceed the step budget of 83;"):
+        generation_check(Context(P_PIN, G11), 6)
+
+
 def test_degrees_past_the_former_ceilings(monkeypatch):
     # antidiagonal_kernel stopped at m = 6 and generation_check at upto = 6;
     # both size their packing from the degree, and the budget bounds the work
