@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from . import json_int, json_list, poly
-from .forms import (AFFINE, PLANE, form_coeffs, initial_form, is_squarefree_form,
-                    localize, vanishing_order)
+from .forms import PLANE, initial_form_at, is_squarefree_form, product
 from .groebner import projective_empty
 from .poly import Polynomial
 
@@ -78,9 +77,10 @@ class LocalSingularityClass:
 def classify_point(bd: BuildingData, point: Sequence[Fraction]) -> LocalSingularityClass:
     """Local singularity class of the bi-double cover above a branch point.
 
-    The point is moved to the origin of an affine chart; the orders of
-    vanishing of the three divisors and the squarefreeness of the
-    product of initial forms (the ordinarity condition) decide the tag:
+    `forms.initial_form_at` reads the order of vanishing and the initial
+    form of each divisor at the point, in the chart of its first nonzero
+    coordinate.  The orders and the squarefreeness of the product of the
+    initial forms (the ordinarity condition) decide the tag:
 
     * total multiplicity <= 2 and ordinary       -> branch-smooth
     * quadruple point, three branches in one D_i -> elliptic-degree-1
@@ -90,15 +90,15 @@ def classify_point(bd: BuildingData, point: Sequence[Fraction]) -> LocalSingular
     pt = [Fraction(c) for c in point]
     if all(c == 0 for c in pt):
         raise BuildingDataError("not a projective point")
-    local = [localize(D, pt) for D in bd.divisors()]
-    mults = tuple(vanishing_order(p) for p in local)
+    local = [initial_form_at(D, pt) for D in bd.divisors()]
+    mults = tuple(m for m, _ in local)
     if all(m == 0 for m in mults):
         raise BuildingDataError("point does not lie on the branch divisor")
-    product_initial = AFFINE.one()
-    for p, m in zip(local, mults):
+    product_initial = [1]
+    for m, form in local:
         if m > 0:
-            product_initial = product_initial * initial_form(p)
-    ordinary = is_squarefree_form(form_coeffs(product_initial))
+            product_initial = product(product_initial, form)
+    ordinary = is_squarefree_form(product_initial)
     total = sum(mults)
     if not ordinary:
         return LocalSingularityClass("other", mults,

@@ -4,27 +4,29 @@ A univariate polynomial, or a binary form of formal degree d, is a list
 of rational coefficients [c_0, ..., c_d] from the constant term up; the
 binary form reads sum c_i s^i t^(d-i).  Trailing zeros of a form are
 roots at infinity (t = 0).  These are the exact primitives the model
-checks share: gcd, distinct roots, squarefreeness, the Sylvester
-matrix, the determinant and the resultant.  The resultant works on the
-integer rows of its two lists; only its result is a Fraction.
+checks share: product, gcd, distinct roots, squarefreeness, the
+Sylvester matrix, the determinant and the resultant.  The gcd and the
+resultant work on the integer rows of their lists; only their results
+are Fractions.
 
-The local half moves a point of the projective plane to the origin of
-an affine chart and reads off vanishing orders and initial forms there.
-`localize` builds its translations s + a and t + b directly and leaves
-the integer work to `Polynomial.substitute`.
+The local half reads the vanishing order and the initial form of a
+plane polynomial at a point, in the chart of the point's first nonzero
+coordinate, from the lowest Taylor terms there; it builds no translated
+polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
+from math import comb, gcd as igcd, lcm
 from operator import floordiv
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from . import integer_terms
 from .poly import Polynomial, PolynomialError, WeightedRing
 
 PLANE = WeightedRing(("x", "y", "z"), (1, 1, 1))
-AFFINE = WeightedRing(("s", "t"), (1, 1))
 
 
 # -- dense binary forms ----------------------------------------------------------
@@ -37,19 +39,43 @@ def _trim(f: Sequence[Fraction]) -> List[Fraction]:
     return f
 
 
+def _primitive(f: Sequence[Fraction]) -> List[int]:
+    """The integer row of f, trailing zeros dropped, divided by its content."""
+    row = list(integer_terms(dict(enumerate(_trim(f))))[0].values())
+    content = igcd(*row)
+    return [c // content for c in row] if content > 1 else row
+
+
+def product(f: Sequence[Fraction], g: Sequence[Fraction]) -> List[Fraction]:
+    """Product of two nonempty coefficient lists; the formal degrees add."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
 def gcd(f: Sequence[Fraction], g: Sequence[Fraction]) -> List[Fraction]:
-    """Monic gcd of two univariate polynomials; [] when both vanish."""
-    f, g = _trim(f), _trim(g)
+    """Monic gcd of two univariate polynomials; [] when both vanish.
+
+    The remainder sequence runs on primitive integer rows: each
+    pseudo-remainder is divided by its content (Collins, "Subresultants
+    and reduced polynomial remainder sequences", J. ACM 1967), and only
+    the monic result is made of Fractions.
+    """
+    f, g = _primitive(f), _primitive(g)
     while g:
-        # f <- f mod g
+        # f <- the primitive part of the pseudo-remainder of f by g
         while len(f) >= len(g):
-            c = f[-1] / g[-1]
-            k = len(f) - len(g)
-            for i, gc in enumerate(g):
-                f[k + i] -= c * gc
+            h = igcd(f[-1], g[-1])
+            cf, cg, k = g[-1] // h, f[-1] // h, len(f) - len(g)
+            f = [cf * c for c in f[:-1]]
+            for i, c in enumerate(g[:-1]):
+                f[k + i] -= cg * c
             f = _trim(f)
-        f, g = g, f
-    return [c / f[-1] for c in f] if f else []
+        content = igcd(*f)
+        f, g = g, [c // content for c in f] if content > 1 else f
+    return [Fraction(c, f[-1]) for c in f] if f else []
 
 
 def distinct_roots(f: Sequence[Fraction]) -> int:
@@ -137,39 +163,53 @@ def resultant(cf: Sequence[Fraction], cg: Sequence[Fraction]) -> Fraction:
 # -- local plane geometry ----------------------------------------------------------
 
 
-def localize(p: Polynomial, point: Sequence[Fraction]) -> Polynomial:
-    """Dehomogenise a plane polynomial in the chart of the point's first
-    nonzero coordinate and translate the point to the origin of AFFINE."""
-    pt = [Fraction(c) for c in point]
+def initial_form_at(p: Polynomial, point: Sequence[Fraction]) -> Tuple[int, List[Fraction]]:
+    """(order, coeffs): the vanishing order m of a plane polynomial at a
+    point and the dense coefficients [c_0..c_m] of its initial form there.
+
+    The polynomial is dehomogenised in the chart of the point's first
+    nonzero coordinate, and s, t are the affine coordinates X - a, Y - b
+    of the two other variables X, Y, in their order, at the point (a, b);
+    the initial form is sum c_i s^i t^(m-i).  No translated polynomial is
+    built.  The point is cleared to integers (P_0 : P_1 : P_2), so that
+    a = A/P and b = B/P over its chart coordinate P, and the dehomogenised
+    polynomial q to an integer row over the lcm L of its denominators.
+    Then the Taylor coefficient of s^i t^j, of degree k = i + j, is
+
+        sum_(e, f) N P^(T-e-f) C(e, i) A^(e-i) C(f, j) B^(f-j)
+
+    over L P^(T-k), summed over the terms N X^e Y^f of q, where T is the
+    top total degree of q.  Degrees k = 0, 1, 2, ... are tried in turn up
+    to the first with a nonzero term; q is nonzero, so one has.
+    PolynomialError for (0:0:0), for a variable other than x, y and z,
+    and for a polynomial that vanishes in the chart.
+    """
+    pt = [Fraction(c) for c in point[:3]]
     chart = next((i for i in range(3) if pt[i] != 0), None)
     if chart is None:
         raise PolynomialError("(0:0:0) is not a point of the projective plane")
-    images = {PLANE.names[chart]: 1}
-    others = [i for i in range(3) if i != chart]
-    for i, var in zip(others, ((1, 0), (0, 1))):
-        images[PLANE.names[i]] = Polynomial(AFFINE, {var: 1, (0, 0): pt[i] / pt[chart]})
-    return p.substitute(images)
-
-
-def vanishing_order(p: Polynomial) -> int:
-    """Order of vanishing of an affine polynomial at the origin."""
-    if p.is_zero():
+    names = p.ring.names
+    if names != PLANE.names:
+        missing = [n for n in p.variables_used() if n not in PLANE.names]
+        if missing:
+            raise PolynomialError(f"missing assignment for {missing}")
+    den = lcm(*[c.denominator for c in pt])
+    P, A, B = (pt[i].numerator * (den // pt[i].denominator)
+               for i in (chart, *(i for i in range(3) if i != chart)))
+    i0, i1 = (names.index(PLANE.names[i]) if PLANE.names[i] in names else -1
+              for i in range(3) if i != chart)
+    ints, L = integer_terms(p.terms)
+    q: Dict[Tuple[int, int], int] = {}
+    for e, N in ints.items():
+        key = (e[i0] if i0 >= 0 else 0, e[i1] if i1 >= 0 else 0)
+        q[key] = q.get(key, 0) + N
+    T = max((e + f for (e, f), N in q.items() if N), default=None)
+    if T is None:
         raise PolynomialError("vanishing order of the zero polynomial")
-    return min(sum(e) for e in p.terms)
-
-
-def initial_form(p: Polynomial) -> Polynomial:
-    """Lowest-degree homogeneous part of an affine polynomial."""
-    m = vanishing_order(p)
-    return Polynomial(AFFINE, {e: c for e, c in p.terms.items() if sum(e) == m})
-
-
-def form_coeffs(F: Polynomial) -> List[Fraction]:
-    """Dense coefficients [c_0..c_d] in s of a binary form of degree d in AFFINE."""
-    d = F.weighted_degree()
-    if d == "inhomogeneous":
-        raise PolynomialError("not a binary form")
-    coeffs = [Fraction(0)] * (d + 1)
-    for (i, _), c in F.terms.items():
-        coeffs[i] = c
-    return coeffs
+    terms = [(e, f, N * P ** (T - e - f)) for (e, f), N in q.items() if N]
+    for k in count():
+        coeffs = [sum(w * comb(e, i) * A ** (e - i) * comb(f, k - i) * B ** (f - k + i)
+                      for e, f, w in terms if e >= i and f >= k - i)
+                  for i in range(k + 1)]
+        if any(coeffs):
+            return k, [Fraction(c, L * P ** (T - k)) for c in coeffs]

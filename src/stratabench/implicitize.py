@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from . import rational
-from .forms import (PLANE, form_coeffs, initial_form, is_squarefree_form, localize,
-                    vanishing_order)
+from .forms import PLANE, initial_form_at, is_squarefree_form
 from .groebner import eliminate
 from .poly import Polynomial, WeightedRing, rename_into, scalar_ratio
 
@@ -153,15 +152,15 @@ def verify_node(q: PlaneQuartic, point: Sequence[Fraction]) -> bool:
     """Is the point an ordinary node of the quartic?
 
     Requires q to vanish to order exactly 2 at the point and the
-    degree-2 initial form there to be a squarefree binary quadratic.
-    Order 2 already says that q and both affine partials vanish at the
-    point; Euler's relation x*q_x + y*q_y + z*q_z = 4q gives the third
-    projective partial.
+    degree-2 initial form there, which `forms.initial_form_at` reads off
+    the Taylor terms in the chart of the point's first nonzero
+    coordinate, to be a squarefree binary quadratic.  Order 2 already
+    says that q and both affine partials vanish at the point; Euler's
+    relation x*q_x + y*q_y + z*q_z = 4q gives the third projective
+    partial.
     """
-    local = localize(q.poly, point)
-    if vanishing_order(local) != 2:
-        return False
-    return is_squarefree_form(form_coeffs(initial_form(local)))
+    order, coeffs = initial_form_at(q.poly, point)
+    return order == 2 and is_squarefree_form(coeffs)
 
 
 def compare_up_to_scalar(f: Polynomial, g: Polynomial) -> bool:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import prod
+from math import lcm, prod
 from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -318,20 +318,31 @@ class Polynomial:
         return _from_row(target, acc, L * prod(D ** top for D, top in zip(denoms, tops)))
 
     def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at a rational point; every used variable needs a value."""
-        out = Fraction(0)
+        """Evaluate at a rational point; every used variable needs a value.
+
+        The arithmetic runs on integers.  With the values v_i = a_i/D over
+        the lcm D of their denominators, the coefficients N/L over the lcm
+        L of theirs and T the top total degree, the value is
+        sum N * prod a_i^k_i * D^(T - sum k_i) over L * D^T.
+        """
         idx = {self.ring.index(n): Fraction(v) for n, v in values.items()}
-        for e, c in self.terms.items():
-            t = c
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                if i not in idx:
-                    raise PolynomialError(
-                        f"no value for variable {self.ring.names[i]!r}")
-                t *= idx[i] ** k
-            out += t
-        return out
+        terms = self.terms
+        used = [i for i, top in enumerate(map(max, zip(*terms))) if top]
+        if any(i not in idx for i in used):
+            # name the first variable a term-by-term walk finds without a value
+            i = next(i for e in terms for i, k in enumerate(e) if k and i not in idx)
+            raise PolynomialError(f"no value for variable {self.ring.names[i]!r}")
+        D = lcm(*[idx[i].denominator for i in used])
+        nums = {i: idx[i].numerator * (D // idx[i].denominator) for i in used}
+        T = max(map(sum, terms), default=0)
+        ints, L = integer_terms(terms)
+        total = 0
+        for e, N in ints.items():
+            for i in used:
+                if e[i]:
+                    N *= nums[i] ** e[i]
+            total += N * D ** (T - sum(e))
+        return Fraction(total, L * D ** T)
 
     # -- presentation ----------------------------------------------------
 

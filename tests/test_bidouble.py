@@ -62,6 +62,15 @@ def test_classify_non_ordinary_is_other():
     c = classify_point(bd, (Fraction(0), Fraction(0), Fraction(1)))
     assert c.tag == "other"
     assert "squarefree" in c.diagnostic
+    # D1 and D2 are smooth there with the common tangent y = 0: each
+    # initial form is squarefree, their product y^2 is not
+    tangent = BuildingData(x + y + z, y * z * z + x ** 3, y * z * z + x * x * z + y ** 3)
+    c = classify_point(tangent, (Fraction(0), Fraction(0), Fraction(1)))
+    assert (c.tag, c.multiplicities) == ("other", (0, 1, 1))
+    assert "squarefree" in c.diagnostic
+    transverse = BuildingData(x + y + z, y * z * z + x ** 3, x * z * z + y ** 3)
+    c = classify_point(transverse, (Fraction(0), Fraction(0), Fraction(1)))
+    assert (c.tag, c.multiplicities) == ("branch-smooth", (0, 1, 1))
 
 
 def test_classify_point_off_divisor():

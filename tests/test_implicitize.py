@@ -4,8 +4,6 @@ from fractions import Fraction
 import pytest
 
 from stratabench.bidouble import PLANE
-from stratabench.forms import (form_coeffs, initial_form, is_squarefree_form, localize,
-                               vanishing_order)
 from stratabench.implicitize import (ImplicitizeError, ParametrizationInput,
                                      PlaneQuartic, UV, build_parametrization,
                                      compare_up_to_scalar, implicitize,
@@ -98,16 +96,21 @@ def test_verify_node_examples():
 
 def _gradient_node_predicate(q, point):
     """The node test with its gradient pass written out: q and its three
-    partials vanish, the order is 2 and the initial form is squarefree."""
+    partials vanish, and the 3 x 3 Hessian at the point has rank 2.
+
+    At a singular point Euler's relation puts the point in the kernel
+    of the Hessian, so its rank is that of the Hessian of the affine
+    chart, and rank 2 says that the quadratic initial form is nonzero
+    and squarefree."""
     p = q.poly
     values = dict(zip("xyz", point))
     if p.evaluate(values) != 0:
         return False
     if any(p.differentiate(n).evaluate(values) != 0 for n in "xyz"):
         return False
-    local = localize(p, point)
-    return (vanishing_order(local) == 2
-            and is_squarefree_form(form_coeffs(initial_form(local))))
+    H = [[p.differentiate(m).differentiate(n).evaluate(values) for n in "xyz"] for m in "xyz"]
+    return any(H[i][k] * H[j][l] - H[i][l] * H[j][k]
+               for i, j in ((0, 1), (0, 2), (1, 2)) for k, l in ((0, 1), (0, 2), (1, 2)))
 
 
 def test_verify_node_agrees_with_gradient_predicate():

@@ -318,3 +318,54 @@ def test_mul_matches_the_fraction_product(p, q, c, n):
         # the same terms in the same order, so reports stay byte-identical
         assert list(got.terms.items()) == list(ref.terms.items())
         _assert_clean(got, R3)
+
+
+def _fraction_evaluate(p, values):
+    """Reference evaluation: each term a Fraction product, summed as Fractions."""
+    out = Fraction(0)
+    idx = {p.ring.index(n): Fraction(v) for n, v in values.items()}
+    for e, c in p.terms.items():
+        t = c
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            if i not in idx:
+                raise PolynomialError(f"no value for variable {p.ring.names[i]!r}")
+            t *= idx[i] ** k
+        out += t
+    return out
+
+
+def _outcome(f, *args):
+    try:
+        value = f(*args)
+    except PolynomialError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+value = st.one_of(rational, st.integers(-9, 9), rational.map(str), st.integers(-9, 9).map(str))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rational_poly(R3, 3, 5), st.dictionaries(st.sampled_from(R3.names), value))
+@example(R3.zero(), {})
+@example(R3.zero(), {"v": "1/2"})
+# "u" alone has a value; the walk meets the term in "w" first
+@example(Polynomial(R3, {(0, 0, 1): 1, (0, 1, 0): 2, (1, 0, 0): 3}), {"u": 1})
+@example(R3.var("u") ** 2 - 4, {"u": "-2", "v": Fraction(1, 3), "w": 5})
+def test_evaluate_matches_the_fraction_evaluation(p, values):
+    # the empty polynomial, values for unused variables, int and str
+    # values, and the missing-variable error with the variable it names
+    assert _outcome(p.evaluate, values) == _outcome(_fraction_evaluate, p, values)
+
+
+def test_evaluate_examples():
+    v, w, u = (R3.var(n) for n in R3.names)
+    assert R3.zero().evaluate({}) == 0 and type(R3.zero().evaluate({})) is Fraction
+    assert (v.scale(Fraction(1, 2)) * w + u ** 3).evaluate(
+        {"v": "2/3", "w": 3, "u": Fraction(-1, 2)}) == Fraction(7, 8)
+    with pytest.raises(PolynomialError, match="no value for variable 'w'"):
+        (v + w).evaluate({"v": 1})
+    with pytest.raises(PolynomialError, match="unknown variable 'q'"):
+        v.evaluate({"v": 1, "q": 2})
