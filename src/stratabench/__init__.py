@@ -108,7 +108,7 @@ def bounded_rational(value: Union[str, int]) -> Optional[Fraction]:
     puts any nonzero value over the bound, since at most 4300 digits are
     read each side of the point.  ValueError or ZeroDivisionError for a
     string that is not a rational."""
-    if isinstance(value, str):
+    if isinstance(value, str) and ("e" in value or "E" in value):
         exponent = _EXPONENT.search(value)
         if exponent and len(exponent[1].replace("_", "").lstrip("+-0")) > 4:
             return None

@@ -1,12 +1,13 @@
 """Exact linear algebra over Q, RREF-based.
 
-The sparse entry takes integer rows, dicts {column key: int}:
-`kernel(rows, cols)` reads the columns in the order of `cols`, and
-`rank_rows(rows)` in the sorted order of the keys.  The dense entry,
-`rref`, `rank`, `nullspace` and `solve`, takes lists of int or Fraction
-rows, clears each row of denominators by their lcm and hands it on with
-the columns range(n).  Pivots are chosen in column order; kernels come
-out in the canonical RREF parametrisation.
+The sparse entry takes integer rows, dicts {column key: int}, and
+refuses any other entry, a bool included: `kernel(rows, cols)` reads
+the columns in the order of `cols`, and `rank_rows(rows)` in the sorted
+order of the keys.  The dense entry, `rref`, `rank`, `nullspace` and
+`solve`, takes lists of int or Fraction rows, clears each row of
+denominators by their lcm and hands it on with the columns range(n).
+Pivots are chosen in column order; kernels come out in the canonical
+RREF parametrisation.
 
 One kernel, `_echelon`, runs fraction-free Gauss-Jordan elimination
 over Z (in the spirit of Bareiss, Math. Comp. 1968) on copies of the
@@ -21,6 +22,7 @@ rational RREF; the ranks read only the pivots.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,6 +54,16 @@ def _integer_rows(M: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], range]:
     return rows, range(cols)
 
 
+def _sparse_rows(rows: Rows) -> List[Row]:
+    """The nonzero entries of integer rows, as new dicts; TypeError for
+    one that is not an int, a bool included, as the dense entry gives."""
+    out = [{j: v for j, v in row.items() if v} for row in rows]
+    if not set(map(type, chain.from_iterable(map(dict.values, out)))) <= {int}:
+        bad = next(v for row in out for v in row.values() if type(v) is not int)
+        raise TypeError(f"a matrix entry must be an int, got {bad!r:.40}")
+    return out
+
+
 def _primitive(row: Row) -> Row:
     """The row divided by the gcd of its entries."""
     g = gcd(*row.values())
@@ -64,9 +76,10 @@ def _echelon(rows: Rows, cols: Iterable[Hashable]) -> Tuple[List[Row], list]:
 
     Row r < len(pivots) has its pivot in column pivots[r] and no other
     nonzero entry in any pivot column; dividing it by that pivot entry
-    gives row r of the RREF.  The remaining rows are empty.
+    gives row r of the RREF.  The remaining rows are empty.  `rows` hold
+    nonzero ints only, in dicts the kernel may change.
     """
-    A = [_primitive({j: v for j, v in row.items() if v}) for row in rows]
+    A = [_primitive(row) for row in rows]
     budget = Budget("linalg.rref")
     pivots: list = []
     r = 0
@@ -104,7 +117,7 @@ def kernel(rows: Rows, cols: Sequence[Hashable]) -> Matrix:
     """Canonical kernel basis of integer rows over the columns `cols`:
     one vector per free column, in column order, each a list of
     Fractions indexed like `cols`."""
-    A, pivots = _echelon(rows, cols)
+    A, pivots = _echelon(_sparse_rows(rows), cols)
     pivot_set, zero = set(pivots), Fraction(0)
     basis = []
     for f in cols:
@@ -117,6 +130,7 @@ def kernel(rows: Rows, cols: Sequence[Hashable]) -> Matrix:
 
 def rank_rows(rows: Sequence[Mapping[Hashable, int]]) -> int:
     """Rank of integer rows whose column keys sort."""
+    rows = _sparse_rows(rows)
     return len(_echelon(rows, sorted(set().union(*rows)))[1])
 
 

@@ -293,17 +293,17 @@ def test_reduced_basis_shape():
 
 
 def test_implicitize_elimination_step_count_is_pinned(monkeypatch):
-    # The (2, 3) graph ideal of implicitize takes exactly 179 steps (S-pairs
+    # The (2, 3) graph ideal of implicitize takes exactly 172 steps (S-pairs
     # plus division steps) on the graded block order; a change of pair
-    # selection, reduction or order shows here.
+    # selection, reduction, interreduction or order shows here.
     from stratabench.implicitize import GRAPH_RING, ParametrizationInput, build_parametrization
     from stratabench.poly import rename_into
 
     params = build_parametrization(ParametrizationInput(Fraction(2), Fraction(3)))
     gens = [GRAPH_RING.var(n) - rename_into(p, GRAPH_RING) for n, p in zip("xyz", params)]
-    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "179")
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "172")
     assert len(eliminate(gens, {"u", "v"})) == 1
-    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "178")
+    monkeypatch.setenv("STRATABENCH_STEP_BUDGET", "171")
     with pytest.raises(BudgetExceeded):
         eliminate(gens, {"u", "v"})
 
@@ -392,6 +392,42 @@ def test_the_engine_builds_only_the_polynomials_it_returns(monkeypatch):
     built.clear()
     assert projective_empty(list(known_examples("Z4").divisors())) is True
     assert built == []
+
+
+def test_the_engine_interreduces_only_the_rows_it_returns(monkeypatch):
+    # after the S-pair loop, which reduces by one growing list of divisors,
+    # each interreduced row is reduced by a list of its own: buchberger
+    # interreduces every minimal row, eliminate only the 1 in the kept
+    # variables of the (2, 3) graph ideal's 17, and projective_empty none
+    # of the 5 on the divisors of Z4
+    from stratabench import groebner
+    from stratabench.bidouble import known_examples
+    from stratabench.implicitize import GRAPH_RING, ParametrizationInput, build_parametrization
+
+    calls = []
+
+    def recording_reduce(work, divisors, budget):
+        calls.append(divisors)
+        return reduce(work, divisors, budget)
+
+    def interreduced(run):
+        calls.clear()
+        answer = run()
+        return answer, sum(divisors is not calls[0] for divisors in calls)
+
+    reduce = groebner._reduce
+    monkeypatch.setattr(groebner, "_reduce", recording_reduce)
+    params = build_parametrization(ParametrizationInput(Fraction(2), Fraction(3)))
+    gens = [GRAPH_RING.var(n) - rename_into(p, GRAPH_RING) for n, p in zip("xyz", params)]
+    # GRAPH_RING puts u and v first, and the graph ideal is homogeneous
+    full, n = interreduced(lambda: buchberger(gens, MonomialOrder("graded-block-elimination", 2)))
+    assert len(full) == n == 17
+    kept, n = interreduced(lambda: eliminate(gens, {"u", "v"}))
+    assert len(kept) == n == 1
+    divisors = list(known_examples("Z4").divisors())
+    full, n = interreduced(lambda: buchberger(divisors))
+    assert len(full) == n == 5
+    assert interreduced(lambda: projective_empty(divisors)) == (True, 0)
 
 
 @st.composite

@@ -127,9 +127,17 @@ def test_rref_spends_one_step_per_row_update(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", [0.1, 2.0, True])
-@pytest.mark.parametrize("function", [linalg.rref, linalg.rank, linalg.nullspace])
+@pytest.mark.parametrize("function", [linalg.rref, linalg.rank, linalg.nullspace,
+                                      linalg.kernel, linalg.rank_rows])
 def test_entries_refuse_floats_and_bools(function, entry):
     # 0.1 would be read as 3602879701896397/36028797018963968
+    if function in (linalg.kernel, linalg.rank_rows):
+        # the sparse entry takes integer rows, and a bool is not one
+        cols = (range(2),) if function is linalg.kernel else ()
+        with pytest.raises(TypeError, match="^a matrix entry must be an int, got"):
+            function([{0: entry, 1: 1}], *cols)
+        assert linalg.rank_rows([{0: 0.0, 1: False, 2: 1}]) == 1
+        return
     with pytest.raises(TypeError, match="must be an int or a Fraction"):
         function([[entry, 1]])
     with pytest.raises(TypeError, match="must be an int or a Fraction"):

@@ -5,7 +5,7 @@ from operator import add
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stratabench import integer_terms, poly, s2e
+from stratabench import bounded_rational, integer_terms, poly, s2e
 from stratabench.poly import Polynomial, PolynomialError, WeightedRing
 
 R5 = WeightedRing(("x", "y1", "y2", "z1", "z2"), (1, 2, 2, 3, 3))
@@ -200,6 +200,18 @@ def test_integer_terms():
     assert list(row.items()) == [((1,), -2), ((0,), 9), ((2,), 0), ((3,), 24), ((4,), -60)]
     assert den == 12 and all(type(v) is int for v in row.values())
 
+
+
+def test_bounded_rational_searches_for_an_exponent_only_after_an_e():
+    # a five-digit exponent, of either case, is refused unparsed, where
+    # Fraction would build 10**100000 first; without an e or E the
+    # exponent pattern cannot match, and the string goes to Fraction
+    assert bounded_rational("1e100000") is None
+    assert bounded_rational("1E100000") is None
+    assert bounded_rational("1e99") == 10 ** 99
+    assert bounded_rational("12/7") == Fraction(12, 7)
+    assert bounded_rational("-3") == -3
+    assert bounded_rational(" 4 ") == 4
 
 def test_immutability():
     u = R2.var("u")
